@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -47,7 +48,8 @@ type event struct {
 // stream. go test emits the result line ("	       1	  123456 ns/op	...")
 // as an output event carrying the benchmark's name in the Test field; when
 // the name is only in the output text (older streams), it is taken from
-// there instead.
+// there instead. Names are canonical (see benchName), so files recorded on
+// machines with different core counts compare name for name.
 func parseBenchFile(path string) (map[string]float64, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -69,17 +71,13 @@ func parseBenchFile(path string) (map[string]float64, error) {
 		if ev.Action != "output" || !strings.Contains(ev.Output, "ns/op") {
 			continue
 		}
-		name, ns, ok := parseBenchLine(ev.Output)
+		text, ns, ok := parseBenchLine(ev.Output)
 		if !ok {
 			continue
 		}
-		if name == "" {
-			name = ev.Test
+		if name := benchName(ev.Test, text); name != "" {
+			out[name] = ns
 		}
-		if name == "" {
-			continue
-		}
-		out[name] = ns
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
@@ -88,6 +86,23 @@ func parseBenchFile(path string) (map[string]float64, error) {
 		return nil, fmt.Errorf("%s: no benchmark results found", path)
 	}
 	return out, nil
+}
+
+// benchName returns a benchmark's canonical name: the name go test gives
+// it, without the -N GOMAXPROCS suffix go test appends to result lines when
+// GOMAXPROCS > 1 (BenchmarkFoo/bar-8). The event's Test field never carries
+// the suffix, so it wins; a stream without one has only the result line's
+// name, whose trailing -N is stripped.
+func benchName(test, line string) string {
+	if test != "" {
+		return test
+	}
+	if i := strings.LastIndexByte(line, '-'); i > 0 && !strings.Contains(line[i:], "/") {
+		if _, err := strconv.Atoi(line[i+1:]); err == nil {
+			return line[:i]
+		}
+	}
+	return line
 }
 
 // parseBenchLine pulls (name, ns/op) out of one benchmark output line. The
@@ -121,7 +136,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: benchcheck -baseline <old.json> <new.json>")
 		os.Exit(2)
 	}
-	if err := run(*baselinePath, flag.Arg(0), strings.Split(*pins, ","), *maxRegress, *ratios); err != nil {
+	if err := run(os.Stdout, *baselinePath, flag.Arg(0), strings.Split(*pins, ","), *maxRegress, *ratios); err != nil {
 		fmt.Fprintln(os.Stderr, "benchcheck:", err)
 		os.Exit(1)
 	}
@@ -160,24 +175,7 @@ func parseRatios(s string) ([]ratioPin, error) {
 	return out, nil
 }
 
-// lookupBench finds a benchmark by bare name in a result map, tolerating the
-// -N GOMAXPROCS suffix go test appends (BenchmarkFoo-8). An exact match wins;
-// otherwise the suffixed entry is used.
-func lookupBench(m map[string]float64, name string) (float64, bool) {
-	if v, ok := m[name]; ok {
-		return v, true
-	}
-	for k, v := range m {
-		if strings.HasPrefix(k, name+"-") && !strings.ContainsAny(k[len(name)+1:], "/-") {
-			if _, err := strconv.Atoi(k[len(name)+1:]); err == nil {
-				return v, true
-			}
-		}
-	}
-	return 0, false
-}
-
-func run(baselinePath, currentPath string, pins []string, maxRegress float64, ratioSpec string) error {
+func run(w io.Writer, baselinePath, currentPath string, pins []string, maxRegress float64, ratioSpec string) error {
 	ratioPins, err := parseRatios(ratioSpec)
 	if err != nil {
 		return err
@@ -206,12 +204,12 @@ func run(baselinePath, currentPath string, pins []string, maxRegress float64, ra
 	sort.Strings(names)
 
 	var regressions []string
-	fmt.Printf("%-45s %14s %14s %8s\n", "benchmark", "baseline ns/op", "current ns/op", "delta")
+	fmt.Fprintf(w, "%-45s %14s %14s %8s\n", "benchmark", "baseline ns/op", "current ns/op", "delta")
 	for _, name := range names {
 		now := cur[name]
 		was, inBase := base[name]
 		if !inBase {
-			fmt.Printf("%-45s %14s %14.0f %8s\n", name, "-", now, "new")
+			fmt.Fprintf(w, "%-45s %14s %14.0f %8s\n", name, "-", now, "new")
 			continue
 		}
 		delta := (now - was) / was
@@ -220,7 +218,7 @@ func run(baselinePath, currentPath string, pins []string, maxRegress float64, ra
 			mark = "  REGRESSION"
 			regressions = append(regressions, fmt.Sprintf("%s: %.0f -> %.0f ns/op (%+.1f%%)", name, was, now, delta*100))
 		}
-		fmt.Printf("%-45s %14.0f %14.0f %+7.1f%%%s\n", name, was, now, delta*100, mark)
+		fmt.Fprintf(w, "%-45s %14.0f %14.0f %+7.1f%%%s\n", name, was, now, delta*100, mark)
 	}
 	baseNames := make([]string, 0, len(base))
 	for name := range base {
@@ -229,7 +227,7 @@ func run(baselinePath, currentPath string, pins []string, maxRegress float64, ra
 	sort.Strings(baseNames)
 	for _, name := range baseNames {
 		if _, ok := cur[name]; !ok {
-			fmt.Printf("%-45s %14.0f %14s %8s\n", name, base[name], "-", "gone")
+			fmt.Fprintf(w, "%-45s %14.0f %14s %8s\n", name, base[name], "-", "gone")
 			if pinned(name) {
 				// A vanished pinned benchmark would silently disable the
 				// gate; treat it as a failure until the baseline is
@@ -239,8 +237,8 @@ func run(baselinePath, currentPath string, pins []string, maxRegress float64, ra
 		}
 	}
 	for _, rp := range ratioPins {
-		num, okN := lookupBench(cur, rp.Num)
-		den, okD := lookupBench(cur, rp.Den)
+		num, okN := cur[rp.Num]
+		den, okD := cur[rp.Den]
 		if !okN || !okD {
 			// A ratio whose operands vanished would silently disable the
 			// gate, same as a missing pinned benchmark.
@@ -253,12 +251,12 @@ func run(baselinePath, currentPath string, pins []string, maxRegress float64, ra
 			mark = "  REGRESSION"
 			regressions = append(regressions, fmt.Sprintf("ratio %s/%s: %.3f exceeds limit %.3f", rp.Num, rp.Den, ratio, rp.Limit))
 		}
-		fmt.Printf("ratio %s/%s: %.3f (limit %.3f)%s\n", rp.Num, rp.Den, ratio, rp.Limit, mark)
+		fmt.Fprintf(w, "ratio %s/%s: %.3f (limit %.3f)%s\n", rp.Num, rp.Den, ratio, rp.Limit, mark)
 	}
 	if len(regressions) > 0 {
 		return fmt.Errorf("%d pinned check(s) failed (max regression %.0f%%):\n  %s",
 			len(regressions), maxRegress*100, strings.Join(regressions, "\n  "))
 	}
-	fmt.Printf("ok: no pinned benchmark regressed more than %.0f%%\n", maxRegress*100)
+	fmt.Fprintf(w, "ok: no pinned benchmark regressed more than %.0f%%\n", maxRegress*100)
 	return nil
 }

@@ -84,25 +84,17 @@ func runWorkload(args []string) error {
 	// one replay path serves every input and stays byte-identical.
 	var src workload.Source
 	if *traceFile != "" {
-		format, err := workload.SniffTraceFile(*traceFile)
+		f, err := os.Open(*traceFile)
 		if err != nil {
 			return err
 		}
-		label := traceLabel(*traceFile)
-		if format == workload.TraceFormatUTR {
-			u, err := workload.OpenUTRFile(*traceFile)
-			if err != nil {
-				return err
-			}
-			defer u.Close()
-			u.SetLabel(label)
-			src = u
-		} else {
-			ops, err := workload.LoadTrace(*traceFile)
-			if err != nil {
-				return err
-			}
-			src = workload.OpsSource(workload.Trace{Label: label}.Name(), ops)
+		defer f.Close()
+		st, err := f.Stat()
+		if err != nil {
+			return err
+		}
+		if src, err = workload.OpenTraceSource(f, st.Size(), traceLabel(*traceFile)); err != nil {
+			return fmt.Errorf("%w (%s)", err, *traceFile)
 		}
 		if *dumpTrace != "" {
 			n, err := workload.ConvertTraceFile(*traceFile, *dumpTrace, workload.FormatForPath(*dumpTrace))

@@ -73,10 +73,14 @@
 // Enforced device states persist across processes through the state store
 // (internal/statestore, surfaced as the -statedir flag on every uflip
 // command): the first run of a (device spec, capacity, seed) combination
-// enforces the Section 4.1 state and saves the whole stack's serialized
-// form to disk — chip state, FTL maps, heap and LRU layouts, cache
-// buffers, pipeline clocks — and every later run loads it back instead of
-// replaying the fill, with results pinned byte-identical either way.
+// enforces the Section 4.1 state and saves the whole stack's state to
+// disk, and every later run loads it back instead of replaying the fill,
+// with results pinned byte-identical either way. There is one state
+// mechanism per layer: each layer declares its mutable state once as a
+// plain-data struct (chip state, FTL maps, heap backing arrays, cache
+// regions, pipeline clocks, composite queues, fault schedule position),
+// Clone deep-copies it, and the store gob-encodes the same structs as one
+// tagged tree (device.State) that Restore validates and adopts.
 // Files are content-addressed by a SHA-256 of the canonical key and carry
 // a format version and payload CRC, so corrupted or truncated caches fail
 // loudly instead of mis-loading. On top of the store, "uflip serve"

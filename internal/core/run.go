@@ -167,27 +167,6 @@ func Execute(dev device.Device, src IOSource, count, ignore int, timing Timing, 
 	return run, nil
 }
 
-// submitRetry is the per-IO retry loop of ExecuteParallel: resubmit a
-// transiently failed IO after a doubling simulated-time backoff, up to the
-// default policy's budget. The caller measures the response time from the
-// original submission, so it includes the retry delay.
-func submitRetry(dev device.Device, at time.Duration, io device.IO, st *device.FaultStats) (time.Duration, error) {
-	pol := device.DefaultRetryPolicy
-	sub := at
-	for attempt := 0; ; attempt++ {
-		done, err := dev.Submit(sub, io)
-		if err == nil {
-			return done, nil
-		}
-		st.Faults++
-		if !device.Retryable(err) || attempt >= pol.Max {
-			return 0, err
-		}
-		st.Retries++
-		sub += pol.Backoff << attempt
-	}
-}
-
 // ExecutePattern validates and runs a single pattern.
 func ExecutePattern(dev device.Device, p Pattern, startAt time.Duration) (*Run, error) {
 	if err := p.Validate(); err != nil {
@@ -252,6 +231,9 @@ func ExecuteParallel(dev device.Device, p Pattern, degree int, startAt time.Dura
 	}
 	timing := Timing{Pause: p.Pause, Burst: p.Burst}
 	var acc stats.Running
+	// One-IO scratch batch: every IO goes through the shared retry loop.
+	ios := make([]device.IO, 1)
+	done := make([]time.Duration, 1)
 	total := 0
 	for {
 		// Earliest-submission process goes next; ties resolved by index
@@ -274,21 +256,26 @@ func ExecuteParallel(dev device.Device, p Pattern, degree int, startAt time.Dura
 			continue
 		}
 		t := pick.next
-		done, err := submitRetry(dev, t, io, &run.Faults)
-		if err != nil {
+		ios[0], done[0] = io, t
+		if err := device.SubmitBatchRetry(context.Background(), dev, t, ios, done, device.DefaultRetryPolicy, &run.Faults); err != nil {
+			var be *device.BatchError
+			if errors.As(err, &be) {
+				err = be.Err
+			}
 			return nil, fmt.Errorf("core: parallel IO %d: %w", total, err)
 		}
-		rt := done - t
+		end := done[0]
+		rt := end - t
 		run.RTs = append(run.RTs, rt)
 		run.SubmitTimes = append(run.SubmitTimes, t)
 		if total >= p.IOIgnore {
 			acc.AddDuration(rt)
 		}
 		pick.issued++
-		pick.next = done + timing.gapBefore(pick.issued)
+		pick.next = end + timing.gapBefore(pick.issued)
 		total++
-		if run.Total < done-startAt {
-			run.Total = done - startAt
+		if run.Total < end-startAt {
+			run.Total = end - startAt
 		}
 	}
 	if len(run.RTs) == 0 {

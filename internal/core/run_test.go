@@ -1,6 +1,9 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 	"time"
 
@@ -374,5 +377,39 @@ func TestExecuteParallelLargeIgnore(t *testing.T) {
 	}
 	if run.Summary.N != int64(len(run.RTs)) {
 		t.Fatalf("summary covers %d IOs, want all %d", run.Summary.N, len(run.RTs))
+	}
+}
+
+// parallelRetryDigest pins a Parallelism run on a device that fails one IO
+// in ten: its response times, submission times, fault and retry counts and
+// total, as the dedicated per-IO retry loop ExecuteParallel used to have
+// produced them. The run now goes through the shared batch retry loop one IO
+// at a time; the digest proves the retry semantics (doubling simulated-time
+// backoff from the original submission) did not move.
+const parallelRetryDigest = "d9fe8ddb173d6209554e3dd28b299744f15c90a9cc4d46595a217798e3dfa0d3"
+
+func TestExecuteParallelRetriesPinned(t *testing.T) {
+	d := StandardDefaults()
+	d.IOCount = 256
+	p := RW.Pattern(d)
+	p.TargetSize = 16 << 20
+	dev := device.NewFaulty(device.FaultConfig{ReadErrRate: 0.1, WriteErrRate: 0.1, Seed: 5}, memDev())
+	run, err := ExecuteParallel(dev, p, 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.Faults.Faults == 0 || run.Faults.Retries == 0 {
+		t.Fatalf("faults %+v: the schedule never fired", run.Faults)
+	}
+	sum := sha256.Sum256([]byte(fmt.Sprint(run.RTs, run.SubmitTimes, run.Faults, run.Total)))
+	if got := hex.EncodeToString(sum[:]); got != parallelRetryDigest {
+		t.Fatalf("parallel retry run digest %s, pinned %s (faults %+v)", got, parallelRetryDigest, run.Faults)
+	}
+	// Exhausted retries surface the device error under the per-IO prefix:
+	// the first IO fails at op 0 and on all four retries (ops 1-4).
+	always := device.NewFaulty(device.FaultConfig{WriteErrRate: 1, Seed: 1}, memDev())
+	_, err = ExecuteParallel(always, p, 4, 0)
+	if want := "core: parallel IO 0: device mem: op 4: device: media write error"; err == nil || err.Error() != want {
+		t.Fatalf("exhausted retries: err %v, want %q", err, want)
 	}
 }

@@ -77,21 +77,21 @@ const DefaultChunkBytes = 128 * 1024
 // DefaultQueueDepth is the default per-member queue bound.
 const DefaultQueueDepth = 4
 
-// memberQueue models one member's bounded host-side queue as a ring of the
-// last QueueDepth completion times. The entry at idx is the completion of the
+// MemberQueue models one member's bounded host-side queue as a ring of the
+// last QueueDepth completion times. The entry at Idx is the completion of the
 // IO submitted QueueDepth dispatches ago: if it is still in the future, the
 // queue is full and the dispatcher must wait for it.
-type memberQueue struct {
-	ring []time.Duration
-	idx  int
+type MemberQueue struct {
+	Ring []time.Duration
+	Idx  int
 }
 
-func (q *memberQueue) full(at time.Duration) bool { return q.ring[q.idx] > at }
+func (q *MemberQueue) full(at time.Duration) bool { return q.Ring[q.Idx] > at }
 
 // outstanding counts the member IOs not yet complete at time at.
-func (q *memberQueue) outstanding(at time.Duration) int {
+func (q *MemberQueue) outstanding(at time.Duration) int {
 	n := 0
-	for _, done := range q.ring {
+	for _, done := range q.Ring {
 		if done > at {
 			n++
 		}
@@ -99,16 +99,46 @@ func (q *memberQueue) outstanding(at time.Duration) int {
 	return n
 }
 
-func (q *memberQueue) push(done time.Duration) {
-	q.ring[q.idx] = done
-	q.idx++
-	if q.idx == len(q.ring) {
-		q.idx = 0
+func (q *MemberQueue) push(done time.Duration) {
+	q.Ring[q.Idx] = done
+	q.Idx++
+	if q.Idx == len(q.Ring) {
+		q.Idx = 0
 	}
 }
 
-func (q *memberQueue) clone() memberQueue {
-	return memberQueue{ring: append([]time.Duration(nil), q.ring...), idx: q.idx}
+func (q *MemberQueue) clone() MemberQueue {
+	g := *q
+	g.Ring = append([]time.Duration(nil), q.Ring...)
+	return g
+}
+
+// CompositeState is the mutable state of a composite array's own layer, as
+// plain data: the dispatch clock, member queues and scheduling cursor (each
+// member carries its own state).
+type CompositeState struct {
+	Queues       []MemberQueue
+	DispatchFree time.Duration
+	RR           int // mirror read round-robin cursor
+
+	// Dead marks members that failed with ErrDeviceGone. Mirrors degrade
+	// gracefully: reads route around dead members, writes succeed while at
+	// least one replica remains (counted in Degraded). Other layouts have no
+	// redundancy, so a gone member fails the IO.
+	Dead     []bool
+	Degraded int64
+
+	IOs int64
+}
+
+func (s *CompositeState) clone() CompositeState {
+	g := *s
+	g.Queues = make([]MemberQueue, len(s.Queues))
+	for i := range s.Queues {
+		g.Queues[i] = s.Queues[i].clone()
+	}
+	g.Dead = append([]bool(nil), s.Dead...)
+	return g
 }
 
 // CompositeDevice fans IOs out over N member devices according to a layout,
@@ -138,22 +168,11 @@ type CompositeDevice struct {
 	// Concat member boundaries: member m covers [bounds[m], bounds[m+1]).
 	bounds []int64 //uflint:shared — derived from the members at construction
 
-	queues       []memberQueue
-	dispatchFree time.Duration
-	rr           int // mirror read round-robin cursor
-
-	// dead marks members that failed with ErrDeviceGone. Mirrors degrade
-	// gracefully: reads route around dead members, writes succeed while at
-	// least one replica remains (counted in degraded). Other layouts have no
-	// redundancy, so a gone member fails the IO.
-	dead     []bool
-	degraded int64
+	st CompositeState
 
 	// frags is the per-Submit fragment scratch, reused so the steady-state
 	// Submit path does not allocate.
 	frags []fragment //uflint:scratch — per-Submit buffer, dead between calls
-
-	ios int64
 }
 
 // fragment is one member's piece of a host IO. split produces fragments in
@@ -189,12 +208,14 @@ func NewComposite(cfg CompositeConfig, members []Device) (*CompositeDevice, erro
 		cfg:     cfg,
 		members: members,
 		chunk:   cfg.ChunkBytes,
-		queues:  make([]memberQueue, len(members)),
-		dead:    make([]bool, len(members)),
-		frags:   make([]fragment, 0, len(members)+2),
+		st: CompositeState{
+			Queues: make([]MemberQueue, len(members)),
+			Dead:   make([]bool, len(members)),
+		},
+		frags: make([]fragment, 0, len(members)+2),
 	}
-	for i := range d.queues {
-		d.queues[i] = memberQueue{ring: make([]time.Duration, cfg.QueueDepth)}
+	for i := range d.st.Queues {
+		d.st.Queues[i] = MemberQueue{Ring: make([]time.Duration, cfg.QueueDepth)}
 	}
 	minCap := members[0].Capacity()
 	for i, m := range members {
@@ -254,14 +275,14 @@ func (d *CompositeDevice) Member(i int) Device { return d.members[i] }
 func (d *CompositeDevice) QueueDepth() int { return d.cfg.QueueDepth }
 
 // IOs returns the number of host IOs serviced.
-func (d *CompositeDevice) IOs() int64 { return d.ios }
+func (d *CompositeDevice) IOs() int64 { return d.st.IOs }
 
 // Dead reports whether member i has failed with ErrDeviceGone.
-func (d *CompositeDevice) Dead(i int) bool { return d.dead[i] }
+func (d *CompositeDevice) Dead(i int) bool { return d.st.Dead[i] }
 
 // DegradedWrites returns how many mirror writes completed with at least one
 // replica missing.
-func (d *CompositeDevice) DegradedWrites() int64 { return d.degraded }
+func (d *CompositeDevice) DegradedWrites() int64 { return d.st.Degraded }
 
 // Clone returns a deep copy of the whole array: every member device, the
 // queue rings, the dispatch clock and the scheduling cursor. It panics if a
@@ -277,11 +298,7 @@ func (d *CompositeDevice) Clone() *CompositeDevice {
 		}
 		g.members[i] = c.CloneDevice()
 	}
-	g.queues = make([]memberQueue, len(d.queues))
-	for i := range d.queues {
-		g.queues[i] = d.queues[i].clone()
-	}
-	g.dead = append([]bool(nil), d.dead...)
+	g.st = d.st.clone()
 	g.frags = make([]fragment, 0, cap(d.frags))
 	return &g
 }
@@ -299,7 +316,7 @@ func (d *CompositeDevice) Drain() time.Duration {
 		if dr, ok := m.(interface{ Drain() time.Duration }); ok {
 			end = dr.Drain()
 		} else {
-			for _, done := range d.queues[i].ring {
+			for _, done := range d.st.Queues[i].Ring {
 				if done > end {
 					end = done
 				}
@@ -389,15 +406,15 @@ func (d *CompositeDevice) split(io IO) {
 // when every member is dead. With no dead members the picks are identical to
 // the pre-degradation scheduler.
 func (d *CompositeDevice) pickMirrorRead() int {
-	at := d.dispatchFree
+	at := d.st.DispatchFree
 	n := len(d.members)
 	best, bestOut := -1, 0
 	for i := 0; i < n; i++ {
-		m := (d.rr + i) % n
-		if d.dead[m] {
+		m := (d.st.RR + i) % n
+		if d.st.Dead[m] {
 			continue
 		}
-		out := d.queues[m].outstanding(at)
+		out := d.st.Queues[m].outstanding(at)
 		if best < 0 || out < bestOut {
 			best, bestOut = m, out
 		}
@@ -405,7 +422,7 @@ func (d *CompositeDevice) pickMirrorRead() int {
 			break
 		}
 	}
-	d.rr++
+	d.st.RR++
 	return best
 }
 
@@ -449,9 +466,9 @@ func (d *CompositeDevice) service(at time.Duration, io IO) (time.Duration, error
 	if err := checkIO(io, d.capacity); err != nil {
 		return 0, err
 	}
-	d.ios++
-	if d.dispatchFree < at {
-		d.dispatchFree = at
+	d.st.IOs++
+	if d.st.DispatchFree < at {
+		d.st.DispatchFree = at
 	}
 	d.split(io)
 	mirror := d.cfg.Layout == LayoutMirror
@@ -462,21 +479,21 @@ func (d *CompositeDevice) service(at time.Duration, io IO) (time.Duration, error
 	replicas := 0
 	for i := range d.frags {
 		f := &d.frags[i]
-		if mirror && io.Mode == Write && d.dead[f.member] {
+		if mirror && io.Mode == Write && d.st.Dead[f.member] {
 			continue
 		}
 	submit:
-		q := &d.queues[f.member]
-		admit := d.dispatchFree
+		q := &d.st.Queues[f.member]
+		admit := d.st.DispatchFree
 		// A full queue blocks the dispatcher until the oldest outstanding
 		// IO on this member completes.
 		if q.full(admit) {
-			admit = q.ring[q.idx]
+			admit = q.Ring[q.Idx]
 		}
 		end, err := d.members[f.member].Submit(admit, IO{Mode: io.Mode, Off: f.off, Size: f.size})
 		if err != nil {
 			if mirror && errors.Is(err, ErrDeviceGone) {
-				d.dead[f.member] = true
+				d.st.Dead[f.member] = true
 				if io.Mode == Read {
 					if m := d.pickMirrorRead(); m >= 0 {
 						f.member = m
@@ -489,7 +506,7 @@ func (d *CompositeDevice) service(at time.Duration, io IO) (time.Duration, error
 			return 0, fmt.Errorf("device %s: member %d: %w", d.cfg.Name, f.member, err)
 		}
 		q.push(end)
-		d.dispatchFree = admit
+		d.st.DispatchFree = admit
 		if end > done {
 			done = end
 		}
@@ -500,7 +517,7 @@ func (d *CompositeDevice) service(at time.Duration, io IO) (time.Duration, error
 			return 0, fmt.Errorf("device %s: all mirror members gone: %w", d.cfg.Name, ErrDeviceGone)
 		}
 		if replicas < len(d.members) {
-			d.degraded++
+			d.st.Degraded++
 		}
 	}
 	return done, nil

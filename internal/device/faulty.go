@@ -116,7 +116,7 @@ func faultDraw(seed, op int64, salt uint64) float64 {
 // aborts the batch with a *BatchError and done[:Index] stays valid.
 //
 // The schedule is indexed by the op counter — the number of IOs the wrapper
-// has serviced — which the clone/snapshot layer carries along, so shards
+// has serviced — which Clone and the state store carry along, so shards
 // cloned from an enforced master replay the exact schedule a sequential run
 // would see at that point.
 type FaultyDevice struct {
@@ -124,9 +124,17 @@ type FaultyDevice struct {
 	cfg   FaultConfig //uflint:shared — immutable fault schedule parameters
 	name  string      //uflint:shared — immutable label from the spec
 
-	op       int64
-	dead     bool
-	injected InjectionCounts
+	st FaultyState
+}
+
+// FaultyState is the mutable state of a fault-injecting wrapper, as plain
+// data: the schedule position, so a clone or a restored device resumes the
+// fault schedule exactly where the original stood (the wrapped device
+// carries its own state).
+type FaultyState struct {
+	Op       int64
+	Dead     bool
+	Injected InjectionCounts
 }
 
 // NewFaulty wraps dev with the fault schedule of cfg.
@@ -145,13 +153,13 @@ func (f *FaultyDevice) Inner() Device { return f.inner }
 func (f *FaultyDevice) Config() FaultConfig { return f.cfg }
 
 // Ops returns the op counter — how many IOs the schedule has consumed.
-func (f *FaultyDevice) Ops() int64 { return f.op }
+func (f *FaultyDevice) Ops() int64 { return f.st.Op }
 
 // Dead reports whether the sticky failure has triggered.
-func (f *FaultyDevice) Dead() bool { return f.dead }
+func (f *FaultyDevice) Dead() bool { return f.st.Dead }
 
 // Injections returns the per-kind injection tallies.
-func (f *FaultyDevice) Injections() InjectionCounts { return f.injected }
+func (f *FaultyDevice) Injections() InjectionCounts { return f.st.Injected }
 
 // Capacity forwards to the wrapped device.
 func (f *FaultyDevice) Capacity() int64 { return f.inner.Capacity() }
@@ -203,23 +211,23 @@ func (f *FaultyDevice) SubmitBatch(at time.Duration, ios []IO, done []time.Durat
 // gone-device failures fail fast without touching the wrapped device, so a
 // retried IO re-draws under a fresh op index.
 func (f *FaultyDevice) service(at time.Duration, io IO) (time.Duration, error) {
-	op := f.op
-	f.op++
-	if f.dead || (f.cfg.FailAt > 0 && op >= f.cfg.FailAt) {
-		f.dead = true
-		f.injected.Gone++
+	op := f.st.Op
+	f.st.Op++
+	if f.st.Dead || (f.cfg.FailAt > 0 && op >= f.cfg.FailAt) {
+		f.st.Dead = true
+		f.st.Injected.Gone++
 		return 0, fmt.Errorf("device %s: op %d: %w", f.name, op, ErrDeviceGone)
 	}
 	if f.mediaErr(op, io) {
 		if io.Mode == Read {
-			f.injected.ReadErrs++
+			f.st.Injected.ReadErrs++
 			return 0, fmt.Errorf("device %s: op %d: %w", f.name, op, ErrMediaRead)
 		}
-		f.injected.WriteErrs++
+		f.st.Injected.WriteErrs++
 		return 0, fmt.Errorf("device %s: op %d: %w", f.name, op, ErrMediaWrite)
 	}
 	if f.cfg.StallRate > 0 && f.cfg.Stall > 0 && faultDraw(f.cfg.Seed, op, saltStall) < f.cfg.StallRate {
-		f.injected.Stalls++
+		f.st.Injected.Stalls++
 		at += f.cfg.Stall
 	}
 	end, err := f.inner.Submit(at, io)
@@ -227,7 +235,7 @@ func (f *FaultyDevice) service(at time.Duration, io IO) (time.Duration, error) {
 		return 0, err
 	}
 	if f.cfg.SpikeRate > 0 && f.cfg.Spike > 0 && faultDraw(f.cfg.Seed, op, saltSpike) < f.cfg.SpikeRate {
-		f.injected.Spikes++
+		f.st.Injected.Spikes++
 		end += f.cfg.Spike
 	}
 	return end, nil

@@ -56,15 +56,20 @@ type SimConfig struct {
 // devices (and all reads) overlap the transfer with the flash work of the
 // same IO and complete when the longer of the two finishes.
 type SimDevice struct {
-	cfg   SimConfig //uflint:shared — immutable config; snapshots restore into a same-profile build
+	cfg   SimConfig //uflint:shared — immutable config; states restore into a same-profile build
 	top   ftl.Translator
 	model ftl.CostModel //uflint:shared — cost tables wired at construction
 
-	busFree   time.Duration
-	flashFree time.Duration
-	idleMark  time.Duration // time up to which idle has been granted
+	st SimState
+}
 
-	ios int64
+// SimState is the mutable state of a SimDevice's own layer, as plain data:
+// the bus/flash pipeline clocks (the translation stack carries its own).
+type SimState struct {
+	BusFree   time.Duration
+	FlashFree time.Duration
+	IdleMark  time.Duration // time up to which idle has been granted
+	IOs       int64
 }
 
 // NewSimDevice assembles a simulated device over a translation stack.
@@ -108,7 +113,7 @@ func (d *SimDevice) Name() string { return d.cfg.Name }
 func (d *SimDevice) Top() ftl.Translator { return d.top }
 
 // IOs returns the number of IOs serviced.
-func (d *SimDevice) IOs() int64 { return d.ios }
+func (d *SimDevice) IOs() int64 { return d.st.IOs }
 
 // Submit services one IO at virtual time at.
 //
@@ -149,28 +154,28 @@ func (d *SimDevice) service(at time.Duration, io IO, capacity int64) (time.Durat
 	if err := checkIO(io, capacity); err != nil {
 		return 0, err
 	}
-	d.ios++
+	d.st.IOs++
 
 	// Grant any host-idle gap to the device's background machinery
 	// (asynchronous reclamation, cache destaging).
-	if at > d.idleMark {
-		gap := at - d.idleMark
-		if d.busFree > d.idleMark {
-			gap = at - d.busFree
+	if at > d.st.IdleMark {
+		gap := at - d.st.IdleMark
+		if d.st.BusFree > d.st.IdleMark {
+			gap = at - d.st.BusFree
 		}
 		if gap > 0 {
 			d.top.Idle(gap)
 		}
-		d.idleMark = at
+		d.st.IdleMark = at
 	}
 
 	start := at
-	if d.busFree > start {
-		start = d.busFree
+	if d.st.BusFree > start {
+		start = d.st.BusFree
 	}
 	// Throttle when the background flash stage is too far behind.
-	if d.flashFree > start+d.cfg.MaxFlashLag {
-		start = d.flashFree - d.cfg.MaxFlashLag
+	if d.st.FlashFree > start+d.cfg.MaxFlashLag {
+		start = d.st.FlashFree - d.cfg.MaxFlashLag
 	}
 
 	var (
@@ -197,35 +202,35 @@ func (d *SimDevice) service(at time.Duration, io IO, capacity int64) (time.Durat
 		// background (already bounded by the MaxFlashLag throttle above).
 		done = start + d.cfg.Bus.CmdLatency + transfer
 		flashStart := done
-		if d.flashFree > flashStart {
-			flashStart = d.flashFree
+		if d.st.FlashFree > flashStart {
+			flashStart = d.st.FlashFree
 		}
-		d.flashFree = flashStart + opsCost
-		d.busFree = done
+		d.st.FlashFree = flashStart + opsCost
+		d.st.BusFree = done
 	} else {
 		// Write-through writes and all reads are synchronous: command,
 		// media work and transfer in series. (Pipelining of contiguous
 		// accesses is already folded into the cost model via
 		// SeqReadFactor and the host/merge program split.)
 		done = start + d.cfg.Bus.CmdLatency + transfer + opsCost
-		if io.Mode == Read && d.flashFree > start {
+		if io.Mode == Read && d.st.FlashFree > start {
 			// Deferred background work (write-back destaging, merges,
 			// reclamation) contends with the read for the chips: the
 			// read stretches by up to its own service time while the
 			// backlog lasts — the lingering effect of Figure 5.
 			extra := transfer + opsCost
-			if backlog := d.flashFree - start; extra > backlog {
+			if backlog := d.st.FlashFree - start; extra > backlog {
 				extra = backlog
 			}
 			done += extra
 		}
-		d.busFree = done
-		if d.flashFree < done {
-			d.flashFree = done
+		d.st.BusFree = done
+		if d.st.FlashFree < done {
+			d.st.FlashFree = done
 		}
 	}
-	if d.idleMark < done {
-		d.idleMark = done
+	if d.st.IdleMark < done {
+		d.st.IdleMark = done
 	}
 	return done, nil
 }
@@ -233,8 +238,8 @@ func (d *SimDevice) service(at time.Duration, io IO, capacity int64) (time.Durat
 // Drain advances past all background work, returning the time at which the
 // device is fully quiescent. Used between experiments.
 func (d *SimDevice) Drain() time.Duration {
-	if d.flashFree > d.busFree {
-		return d.flashFree
+	if d.st.FlashFree > d.st.BusFree {
+		return d.st.FlashFree
 	}
-	return d.busFree
+	return d.st.BusFree
 }

@@ -136,10 +136,11 @@ const (
 	PageProgrammed
 )
 
-type blockState struct {
-	eraseCount int
-	nextPage   int // next programmable page index (sequential constraint)
-	bad        bool
+// BlockState is the mutable state of one flash block.
+type BlockState struct {
+	EraseCount int
+	NextPage   int // next programmable page index (sequential constraint)
+	Bad        bool
 }
 
 // Stats aggregates chip-level counters, useful for wear-leveling tests and
@@ -150,33 +151,58 @@ type Stats struct {
 	Erases   int64
 }
 
+// ChipState is the complete mutable state of a chip, as plain data: Clone
+// deep-copies it and the persistent state store encodes it.
+type ChipState struct {
+	// Geometry and Cell never change after construction; they travel with
+	// the state so Restore can refuse the state of a different chip.
+	Geometry Geometry
+	Cell     CellType
+
+	Blocks []BlockState
+	// Pages holds every page's state in one flat slice indexed
+	// block*PagesPerBlock+page, so cloning the chip is two bulk copies
+	// instead of one allocation per block.
+	Pages []PageState
+	Stats Stats
+
+	// CachedBlock/CachedPage track the page currently held in the page
+	// register of each plane; re-reading it skips the cell-array read.
+	CachedBlock []int
+	CachedPage  []int
+
+	// Data holds page payloads (key: global page index); nil unless the
+	// chip stores data.
+	Data map[int64][]byte
+}
+
+// clone returns a deep copy of the state.
+func (s *ChipState) clone() ChipState {
+	g := *s
+	g.Blocks = append([]BlockState(nil), s.Blocks...)
+	g.Pages = append([]PageState(nil), s.Pages...)
+	g.CachedBlock = append([]int(nil), s.CachedBlock...)
+	g.CachedPage = append([]int(nil), s.CachedPage...)
+	if s.Data != nil {
+		g.Data = make(map[int64][]byte, len(s.Data))
+		for k, v := range s.Data {
+			g.Data[k] = append([]byte(nil), v...)
+		}
+	}
+	return g
+}
+
 // Chip is one simulated NAND flash chip. It is not safe for concurrent use;
 // the device serializes access, which also reflects how a single chip behaves
 // behind its controller.
 type Chip struct {
-	geo    Geometry
 	timing Timing //uflint:shared — immutable cost table from the profile
-	cell   CellType
-
-	blocks []blockState
-	// pages holds every page's state in one flat slice indexed
-	// block*PagesPerBlock+page, so cloning the chip is two bulk copies
-	// instead of one allocation per block.
-	pages []PageState
-	stats Stats
-
-	// cachedBlock/cachedPage track the page currently held in the page
-	// register of each plane; re-reading it skips the cell-array read.
-	cachedBlock []int
-	cachedPage  []int
-
 	// transfer is the register <-> controller time for one page plus OOB,
 	// precomputed from the timing so the per-IO paths do not multiply.
-	transfer time.Duration //uflint:shared — precomputed from the immutable timing
+	transfer  time.Duration //uflint:shared — precomputed from the immutable timing
+	storeData bool          // payload storage enabled (WithDataStorage)
 
-	// data holds page payloads when storeData is enabled.
-	storeData bool
-	data      map[int64][]byte // key: global page index
+	st ChipState
 }
 
 // Option configures a Chip at construction time.
@@ -187,7 +213,7 @@ type Option func(*Chip)
 func WithDataStorage() Option {
 	return func(c *Chip) {
 		c.storeData = true
-		c.data = make(map[int64][]byte)
+		c.st.Data = make(map[int64][]byte)
 	}
 }
 
@@ -202,17 +228,19 @@ func NewChip(geo Geometry, cell CellType, opts ...Option) (*Chip, error) {
 		return nil, err
 	}
 	c := &Chip{
-		geo:         geo,
-		timing:      TypicalTiming(cell),
-		cell:        cell,
-		blocks:      make([]blockState, geo.Blocks),
-		pages:       make([]PageState, int64(geo.Blocks)*int64(geo.PagesPerBlock)),
-		cachedBlock: make([]int, geo.Planes),
-		cachedPage:  make([]int, geo.Planes),
+		timing: TypicalTiming(cell),
+		st: ChipState{
+			Geometry:    geo,
+			Cell:        cell,
+			Blocks:      make([]BlockState, geo.Blocks),
+			Pages:       make([]PageState, int64(geo.Blocks)*int64(geo.PagesPerBlock)),
+			CachedBlock: make([]int, geo.Planes),
+			CachedPage:  make([]int, geo.Planes),
+		},
 	}
 	for p := 0; p < geo.Planes; p++ {
-		c.cachedBlock[p] = -1
-		c.cachedPage[p] = -1
+		c.st.CachedBlock[p] = -1
+		c.st.CachedPage[p] = -1
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -228,58 +256,49 @@ func NewChip(geo Geometry, cell CellType, opts ...Option) (*Chip, error) {
 // identical durations, errors and stats.
 func (c *Chip) Clone() *Chip {
 	g := *c
-	g.blocks = append([]blockState(nil), c.blocks...)
-	g.pages = append([]PageState(nil), c.pages...)
-	g.cachedBlock = append([]int(nil), c.cachedBlock...)
-	g.cachedPage = append([]int(nil), c.cachedPage...)
-	if c.storeData {
-		g.data = make(map[int64][]byte, len(c.data))
-		for k, v := range c.data {
-			g.data[k] = append([]byte(nil), v...)
-		}
-	}
+	g.st = c.st.clone()
 	return &g
 }
 
 // Geometry returns the chip geometry.
-func (c *Chip) Geometry() Geometry { return c.geo }
+func (c *Chip) Geometry() Geometry { return c.st.Geometry }
 
 // StoresData reports whether the chip retains page payloads
 // (WithDataStorage).
 func (c *Chip) StoresData() bool { return c.storeData }
 
 // Cell returns the chip's cell type.
-func (c *Chip) Cell() CellType { return c.cell }
+func (c *Chip) Cell() CellType { return c.st.Cell }
 
 // Timing returns the chip's operation timings.
 func (c *Chip) Timing() Timing { return c.timing }
 
 // Stats returns a snapshot of the operation counters.
-func (c *Chip) Stats() Stats { return c.stats }
+func (c *Chip) Stats() Stats { return c.st.Stats }
 
 // EraseCount returns the number of erase cycles block has endured.
 func (c *Chip) EraseCount(block int) (int, error) {
-	if block < 0 || block >= c.geo.Blocks {
+	if block < 0 || block >= c.st.Geometry.Blocks {
 		return 0, ErrOutOfRange
 	}
-	return c.blocks[block].eraseCount, nil
+	return c.st.Blocks[block].EraseCount, nil
 }
 
 // IsBad reports whether a block has been marked bad (worn out or via MarkBad).
 func (c *Chip) IsBad(block int) bool {
-	if block < 0 || block >= c.geo.Blocks {
+	if block < 0 || block >= c.st.Geometry.Blocks {
 		return true
 	}
-	return c.blocks[block].bad
+	return c.st.Blocks[block].Bad
 }
 
 // MarkBad marks a block bad, as a block manager does when it detects
 // uncorrectable errors.
 func (c *Chip) MarkBad(block int) error {
-	if block < 0 || block >= c.geo.Blocks {
+	if block < 0 || block >= c.st.Geometry.Blocks {
 		return ErrOutOfRange
 	}
-	c.blocks[block].bad = true
+	c.st.Blocks[block].Bad = true
 	return nil
 }
 
@@ -288,28 +307,28 @@ func (c *Chip) PageStateAt(block, page int) (PageState, error) {
 	if err := c.checkAddr(block, page); err != nil {
 		return 0, err
 	}
-	return c.pages[c.pageIndex(block, page)], nil
+	return c.st.Pages[c.pageIndex(block, page)], nil
 }
 
 // NextProgramPage returns the next page index that may be programmed in the
 // block under the sequential-programming constraint, or PagesPerBlock if the
 // block is full.
 func (c *Chip) NextProgramPage(block int) (int, error) {
-	if block < 0 || block >= c.geo.Blocks {
+	if block < 0 || block >= c.st.Geometry.Blocks {
 		return 0, ErrOutOfRange
 	}
-	return c.blocks[block].nextPage, nil
+	return c.st.Blocks[block].NextPage, nil
 }
 
 func (c *Chip) checkAddr(block, page int) error {
-	if block < 0 || block >= c.geo.Blocks || page < 0 || page >= c.geo.PagesPerBlock {
+	if block < 0 || block >= c.st.Geometry.Blocks || page < 0 || page >= c.st.Geometry.PagesPerBlock {
 		return ErrOutOfRange
 	}
 	return nil
 }
 
 func (c *Chip) pageIndex(block, page int) int64 {
-	return int64(block)*int64(c.geo.PagesPerBlock) + int64(page)
+	return int64(block)*int64(c.st.Geometry.PagesPerBlock) + int64(page)
 }
 
 // ReadPage reads one page into the plane's page register and transfers it to
@@ -320,20 +339,20 @@ func (c *Chip) ReadPage(block, page int) (time.Duration, error) {
 	if err := c.checkAddr(block, page); err != nil {
 		return 0, err
 	}
-	b := &c.blocks[block]
-	if b.bad {
+	b := &c.st.Blocks[block]
+	if b.Bad {
 		return 0, ErrBadBlock
 	}
-	if c.pages[c.pageIndex(block, page)] != PageProgrammed {
+	if c.st.Pages[c.pageIndex(block, page)] != PageProgrammed {
 		return 0, ErrReadErased
 	}
-	c.stats.Reads++
-	plane := c.geo.Plane(block)
+	c.st.Stats.Reads++
+	plane := c.st.Geometry.Plane(block)
 	var d time.Duration
-	if c.cachedBlock[plane] != block || c.cachedPage[plane] != page {
+	if c.st.CachedBlock[plane] != block || c.st.CachedPage[plane] != page {
 		d += c.timing.ReadPage
-		c.cachedBlock[plane] = block
-		c.cachedPage[plane] = page
+		c.st.CachedBlock[plane] = block
+		c.st.CachedPage[plane] = page
 	}
 	d += c.transfer
 	return d, nil
@@ -350,10 +369,10 @@ func (c *Chip) ReadData(block, page int) ([]byte, error) {
 	if err := c.checkAddr(block, page); err != nil {
 		return nil, err
 	}
-	if c.pages[c.pageIndex(block, page)] != PageProgrammed {
+	if c.st.Pages[c.pageIndex(block, page)] != PageProgrammed {
 		return nil, ErrReadErased
 	}
-	return c.data[c.pageIndex(block, page)], nil
+	return c.st.Data[c.pageIndex(block, page)], nil
 }
 
 // ProgramPage programs one page, enforcing that the page is erased and that
@@ -363,38 +382,38 @@ func (c *Chip) ProgramPage(block, page int, payload []byte) (time.Duration, erro
 	if err := c.checkAddr(block, page); err != nil {
 		return 0, err
 	}
-	b := &c.blocks[block]
-	if b.bad {
+	b := &c.st.Blocks[block]
+	if b.Bad {
 		return 0, ErrBadBlock
 	}
-	if c.pages[c.pageIndex(block, page)] != PageErased {
+	if c.st.Pages[c.pageIndex(block, page)] != PageErased {
 		return 0, ErrNotErased
 	}
-	if page != b.nextPage {
+	if page != b.NextPage {
 		return 0, ErrOutOfOrder
 	}
-	if len(payload) > c.geo.PageSize {
+	if len(payload) > c.st.Geometry.PageSize {
 		return 0, ErrPayloadTooLong
 	}
-	c.pages[c.pageIndex(block, page)] = PageProgrammed
-	b.nextPage++
-	c.stats.Programs++
+	c.st.Pages[c.pageIndex(block, page)] = PageProgrammed
+	b.NextPage++
+	c.st.Stats.Programs++
 	if c.storeData {
 		// Reuse the page's previous buffer (kept across erases) instead of
 		// allocating a fresh one per program.
 		idx := c.pageIndex(block, page)
-		buf := c.data[idx]
+		buf := c.st.Data[idx]
 		if cap(buf) >= len(payload) {
 			buf = buf[:len(payload)]
 		} else {
 			buf = make([]byte, len(payload))
 		}
 		copy(buf, payload)
-		c.data[idx] = buf
+		c.st.Data[idx] = buf
 	}
 	// Invalidate the register if it held a page of this plane.
-	plane := c.geo.Plane(block)
-	c.cachedBlock[plane], c.cachedPage[plane] = -1, -1
+	plane := c.st.Geometry.Plane(block)
+	c.st.CachedBlock[plane], c.st.CachedPage[plane] = -1, -1
 	d := c.transfer + c.timing.ProgramPage
 	return d, nil
 }
@@ -403,27 +422,27 @@ func (c *Chip) ProgramPage(block, page int, payload []byte) (time.Duration, erro
 // erase budget for the cell type is exceeded the block is marked bad and
 // ErrWornOut is returned.
 func (c *Chip) EraseBlock(block int) (time.Duration, error) {
-	if block < 0 || block >= c.geo.Blocks {
+	if block < 0 || block >= c.st.Geometry.Blocks {
 		return 0, ErrOutOfRange
 	}
-	b := &c.blocks[block]
-	if b.bad {
+	b := &c.st.Blocks[block]
+	if b.Bad {
 		return 0, ErrBadBlock
 	}
-	b.eraseCount++
-	c.stats.Erases++
-	if b.eraseCount > c.cell.EraseLimit() {
-		b.bad = true
+	b.EraseCount++
+	c.st.Stats.Erases++
+	if b.EraseCount > c.st.Cell.EraseLimit() {
+		b.Bad = true
 		return c.timing.EraseBlock, ErrWornOut
 	}
 	base := c.pageIndex(block, 0)
-	clear(c.pages[base : base+int64(c.geo.PagesPerBlock)]) // PageErased is the zero state
-	b.nextPage = 0
+	clear(c.st.Pages[base : base+int64(c.st.Geometry.PagesPerBlock)]) // PageErased is the zero state
+	b.NextPage = 0
 	// Payload buffers are kept (the page state already marks them stale) so
 	// the next program of the page can overwrite them in place.
-	plane := c.geo.Plane(block)
-	if c.cachedBlock[plane] == block {
-		c.cachedBlock[plane], c.cachedPage[plane] = -1, -1
+	plane := c.st.Geometry.Plane(block)
+	if c.st.CachedBlock[plane] == block {
+		c.st.CachedBlock[plane], c.st.CachedPage[plane] = -1, -1
 	}
 	return c.timing.EraseBlock, nil
 }

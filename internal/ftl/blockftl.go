@@ -40,10 +40,38 @@ func (c BlockConfig) validate(a *Array) error {
 	return nil
 }
 
-type logEnt struct {
-	pb       int // physical replacement block
-	nextPage int // pages [0,nextPage) programmed, 1:1 with block offsets
-	lastUse  int64
+// LogBlock is one replacement ("log") block slot of a BlockFTL.
+type LogBlock struct {
+	LBN      int64 // logical block the log replaces, -1 for a free slot
+	PB       int   // physical replacement block
+	NextPage int   // pages [0,NextPage) programmed, 1:1 with block offsets
+	LastUse  int64
+}
+
+// BlockFTLState is the complete mutable state of a BlockFTL, as plain data
+// (the flash array underneath carries its own): Clone deep-copies it and the
+// persistent state store encodes it.
+type BlockFTLState struct {
+	Data []int32 // lbn -> physical block, -1 unmapped
+	// Logs holds the LogBlocks replacement slots. Slots never move, so a
+	// *LogBlock stays valid while other logs come and go.
+	Logs []LogBlock
+	Free minHeap[FreeBlock]
+	Tick int64
+
+	Book  MapBookState
+	Stats Stats
+
+	LastReadSlot int64
+}
+
+func (s *BlockFTLState) clone() BlockFTLState {
+	g := *s
+	g.Data = append([]int32(nil), s.Data...)
+	g.Logs = append([]LogBlock(nil), s.Logs...)
+	g.Free = append(minHeap[FreeBlock](nil), s.Free...)
+	g.Book = s.Book.clone()
+	return g
 }
 
 // BlockFTL is a block-granularity mapped flash translation layer with a
@@ -61,15 +89,8 @@ type BlockFTL struct {
 	pagesPerBlock int   //uflint:shared — derived from the geometry
 	lbnCount      int64 //uflint:shared — derived from the geometry
 
-	data []int32 // lbn -> physical block, -1 unmapped
-	logs map[int64]*logEnt
-	free *freeHeap
-	tick int64
-
-	book  mapBook
-	stats Stats
-
-	lastReadSlot int64
+	st   BlockFTLState
+	book mapBook
 
 	// Data plane (flash built with data storage only): pending host bytes
 	// of the WriteData call in flight, and a one-page staging buffer.
@@ -92,19 +113,23 @@ func NewBlockFTL(arr *Array, cfg BlockConfig, model CostModel) (*BlockFTL, error
 		model:         model,
 		blockBytes:    int64(geo.BlockSize()),
 		pagesPerBlock: geo.PagesPerBlock,
-		logs:          make(map[int64]*logEnt, cfg.LogBlocks),
-		free:          &freeHeap{},
-		lastReadSlot:  -2,
 	}
 	f.lbnCount = (cfg.LogicalBytes + f.blockBytes - 1) / f.blockBytes
-	f.data = make([]int32, f.lbnCount)
-	for i := range f.data {
-		f.data[i] = -1
+	f.st = BlockFTLState{
+		Data:         make([]int32, f.lbnCount),
+		Logs:         make([]LogBlock, cfg.LogBlocks),
+		LastReadSlot: -2,
+	}
+	for i := range f.st.Data {
+		f.st.Data[i] = -1
+	}
+	for i := range f.st.Logs {
+		f.st.Logs[i].LBN = -1
 	}
 	for b := 0; b < arr.Blocks(); b++ {
-		f.free.Push(freeBlock{block: b, eraseCount: 0})
+		f.st.Free.Push(FreeBlock{Block: b, EraseCount: 0})
 	}
-	f.book = newMapBook(int64(cfg.MapUnitsPerPage), cfg.MapDirtyLimit)
+	f.book, f.st.Book = newMapBook(int64(cfg.MapUnitsPerPage), cfg.MapDirtyLimit)
 	if arr.StoresData() {
 		f.dataMode = true
 		f.pageBuf = make([]byte, geo.PageSize)
@@ -119,13 +144,7 @@ func (f *BlockFTL) Capacity() int64 { return f.cfg.LogicalBytes }
 func (f *BlockFTL) Clone() Translator {
 	g := *f
 	g.arr = f.arr.Clone()
-	g.data = append([]int32(nil), f.data...)
-	g.logs = make(map[int64]*logEnt, len(f.logs))
-	for lbn, e := range f.logs {
-		cp := *e
-		g.logs[lbn] = &cp
-	}
-	g.free = f.free.clone()
+	g.st = f.st.clone()
 	g.book = f.book.clone()
 	if f.dataMode {
 		g.pageBuf = make([]byte, len(f.pageBuf))
@@ -135,31 +154,49 @@ func (f *BlockFTL) Clone() Translator {
 }
 
 // Stats returns a snapshot of the FTL counters.
-func (f *BlockFTL) Stats() Stats { return f.stats }
+func (f *BlockFTL) Stats() Stats { return f.st.Stats }
 
 // ActiveLogs returns the number of replacement blocks currently in use.
-func (f *BlockFTL) ActiveLogs() int { return len(f.logs) }
+func (f *BlockFTL) ActiveLogs() int {
+	n := 0
+	for i := range f.st.Logs {
+		if f.st.Logs[i].LBN >= 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// log returns the replacement block of lbn, or nil when it has none.
+func (f *BlockFTL) log(lbn int64) *LogBlock {
+	for i := range f.st.Logs {
+		if f.st.Logs[i].LBN == lbn {
+			return &f.st.Logs[i]
+		}
+	}
+	return nil
+}
 
 // FreeBlocks returns the size of the erased pool.
-func (f *BlockFTL) FreeBlocks() int { return f.free.Len() }
+func (f *BlockFTL) FreeBlocks() int { return f.st.Free.Len() }
 
 func (f *BlockFTL) allocFree() (int, error) {
-	if f.free.Len() == 0 {
+	if f.st.Free.Len() == 0 {
 		return 0, ErrNoSpace
 	}
-	fb := f.free.Pop()
-	return fb.block, nil
+	fb := f.st.Free.Pop()
+	return fb.Block, nil
 }
 
 func (f *BlockFTL) pushFree(block int) {
 	ec, _ := f.arr.EraseCount(block)
-	f.free.Push(freeBlock{block: block, eraseCount: ec})
+	f.st.Free.Push(FreeBlock{Block: block, EraseCount: ec})
 }
 
 // dataNext returns the programmed-prefix length of the lbn's data block
 // (0 when unmapped).
 func (f *BlockFTL) dataNext(lbn int64) int {
-	pb := f.data[lbn]
+	pb := f.st.Data[lbn]
 	if pb < 0 {
 		return 0
 	}
@@ -171,31 +208,31 @@ func (f *BlockFTL) dataNext(lbn int64) int {
 // block at the same offsets, programming blank filler for pages the data
 // block never held (the chip's sequential constraint requires every page of
 // the gap to be programmed).
-func (f *BlockFTL) copyPages(lbn int64, log *logEnt, from, to int, ops *Ops) error {
+func (f *BlockFTL) copyPages(lbn int64, log *LogBlock, from, to int, ops *Ops) error {
 	if to <= from {
 		return nil
 	}
-	pb := int(f.data[lbn])
+	pb := int(f.st.Data[lbn])
 	have := f.dataNext(lbn)
 	for p := from; p < to; p++ {
 		var payload []byte
-		if f.data[lbn] >= 0 && p < have {
+		if f.st.Data[lbn] >= 0 && p < have {
 			if err := f.arr.ReadPage(pb, p); err != nil {
 				return fmt.Errorf("ftl: merge read: %w", err)
 			}
 			ops.MergeReads++
-			f.stats.PagesRead++
+			f.st.Stats.PagesRead++
 			if f.dataMode {
 				payload, _ = f.arr.PageData(pb, p) // moved verbatim
 			}
 		}
-		if err := f.arr.ProgramPageData(log.pb, p, payload); err != nil {
+		if err := f.arr.ProgramPageData(log.PB, p, payload); err != nil {
 			return fmt.Errorf("ftl: merge program: %w", err)
 		}
 		ops.MergePrograms++
-		f.stats.PagesProgrammed++
+		f.st.Stats.PagesProgrammed++
 	}
-	log.nextPage = to
+	log.NextPage = to
 	return nil
 }
 
@@ -203,69 +240,73 @@ func (f *BlockFTL) copyPages(lbn int64, log *logEnt, from, to int, ops *Ops) err
 // copied in, the old data block is erased and freed, and the log becomes the
 // data block.
 func (f *BlockFTL) fullMerge(lbn int64, ops *Ops) error {
-	log := f.logs[lbn]
+	log := f.log(lbn)
 	if log == nil {
 		return nil
 	}
-	old := f.data[lbn]
+	old := f.st.Data[lbn]
 	oldNext := f.dataNext(lbn)
-	f.stats.Merges++
-	if log.nextPage < oldNext {
-		if err := f.copyPages(lbn, log, log.nextPage, oldNext, ops); err != nil {
+	f.st.Stats.Merges++
+	if log.NextPage < oldNext {
+		if err := f.copyPages(lbn, log, log.NextPage, oldNext, ops); err != nil {
 			return err
 		}
 	} else if old < 0 || oldNext == 0 {
-		f.stats.SwitchMerges++
+		f.st.Stats.SwitchMerges++
 	}
 	if old >= 0 {
 		if err := f.arr.EraseBlock(int(old)); err != nil {
 			return fmt.Errorf("ftl: merge erase: %w", err)
 		}
 		ops.Erases++
-		f.stats.BlocksErased++
+		f.st.Stats.BlocksErased++
 		f.pushFree(int(old))
 	}
-	f.data[lbn] = int32(log.pb)
-	delete(f.logs, lbn)
+	f.st.Data[lbn] = int32(log.PB)
+	log.LBN = -1
 	return nil
 }
 
 // allocLog attaches a fresh replacement block to lbn, evicting (merging) the
 // least-recently-used log when all slots are taken.
-func (f *BlockFTL) allocLog(lbn int64, ops *Ops) (*logEnt, error) {
-	if len(f.logs) >= f.cfg.LogBlocks {
-		var victim int64 = -1
-		var oldest int64
-		for l, e := range f.logs {
-			// Strict total order on (lastUse, lbn): the lbn tie-break keeps
-			// the choice independent of map iteration order even if two
-			// logs ever share a tick.
-			if victim < 0 || e.lastUse < oldest || (e.lastUse == oldest && l < victim) {
-				victim, oldest = l, e.lastUse //uflint:allow maporder — min-selection under a strict total order is order-independent
-			}
+func (f *BlockFTL) allocLog(lbn int64, ops *Ops) (*LogBlock, error) {
+	var slot, victim *LogBlock
+	for i := range f.st.Logs {
+		e := &f.st.Logs[i]
+		if e.LBN < 0 {
+			slot = e
+			break
 		}
-		if err := f.fullMerge(victim, ops); err != nil {
+		// Strict total order on (LastUse, LBN): the LBN tie-break keeps
+		// the choice independent of slot order even if two logs ever
+		// share a tick.
+		if victim == nil || e.LastUse < victim.LastUse || (e.LastUse == victim.LastUse && e.LBN < victim.LBN) {
+			victim = e
+		}
+	}
+	if slot == nil {
+		if err := f.fullMerge(victim.LBN, ops); err != nil {
 			return nil, err
 		}
+		slot = victim
 	}
 	pb, err := f.allocFree()
 	if err != nil {
 		return nil, err
 	}
-	f.tick++
-	log := &logEnt{pb: pb, lastUse: f.tick}
-	f.logs[lbn] = log
-	return log, nil
+	f.st.Tick++
+	*slot = LogBlock{LBN: lbn, PB: pb, LastUse: f.st.Tick}
+	return slot, nil
 }
 
 // pageLocation resolves where page p of lbn currently lives: the log block,
 // the data block, or nowhere.
 func (f *BlockFTL) pageLocation(lbn int64, p int) (block int, ok bool) {
-	if log := f.logs[lbn]; log != nil && p < log.nextPage {
-		return log.pb, true
+	if log := f.log(lbn); log != nil && p < log.NextPage {
+		return log.PB, true
 	}
-	if f.data[lbn] >= 0 && p < f.dataNext(lbn) {
-		return int(f.data[lbn]), true
+	if f.st.Data[lbn] >= 0 && p < f.dataNext(lbn) {
+		return int(f.st.Data[lbn]), true
 	}
 	return 0, false
 }
@@ -284,7 +325,7 @@ func (f *BlockFTL) writeSegment(lbn, start, end int64, ops *Ops) error {
 				return err
 			}
 			ops.MergeReads++
-			f.stats.PagesRead++
+			f.st.Stats.PagesRead++
 		}
 	}
 	if end%pageSize != 0 && ePage != sPage {
@@ -293,18 +334,18 @@ func (f *BlockFTL) writeSegment(lbn, start, end int64, ops *Ops) error {
 				return err
 			}
 			ops.MergeReads++
-			f.stats.PagesRead++
+			f.st.Stats.PagesRead++
 		}
 	}
 
-	log := f.logs[lbn]
+	log := f.log(lbn)
 	if log == nil {
 		var err error
 		if log, err = f.allocLog(lbn, ops); err != nil {
 			return err
 		}
 	}
-	if sPage < log.nextPage {
+	if sPage < log.NextPage {
 		// Out-of-order rewrite (in-place, reverse, revisiting random
 		// write): the log only appends, so merge and start over.
 		if err := f.fullMerge(lbn, ops); err != nil {
@@ -315,9 +356,9 @@ func (f *BlockFTL) writeSegment(lbn, start, end int64, ops *Ops) error {
 			return err
 		}
 	}
-	if sPage > log.nextPage {
+	if sPage > log.NextPage {
 		// Gap: pull the skipped pages forward to keep the 1:1 layout.
-		if err := f.copyPages(lbn, log, log.nextPage, sPage, ops); err != nil {
+		if err := f.copyPages(lbn, log, log.NextPage, sPage, ops); err != nil {
 			return err
 		}
 	}
@@ -326,25 +367,25 @@ func (f *BlockFTL) writeSegment(lbn, start, end int64, ops *Ops) error {
 		if f.dataMode {
 			payload = f.stagePage(lbn, p)
 		}
-		if err := f.arr.ProgramPageData(log.pb, p, payload); err != nil {
+		if err := f.arr.ProgramPageData(log.PB, p, payload); err != nil {
 			return fmt.Errorf("ftl: log program: %w", err)
 		}
 		ops.PagePrograms++
-		f.stats.PagesProgrammed++
+		f.st.Stats.PagesProgrammed++
 	}
-	log.nextPage = ePage + 1
-	f.tick++
-	log.lastUse = f.tick
+	log.NextPage = ePage + 1
+	f.st.Tick++
+	log.LastUse = f.st.Tick
 
-	if log.nextPage == f.pagesPerBlock {
+	if log.NextPage == f.pagesPerBlock {
 		// Fully written log: switch it in (cheap merge).
 		if err := f.fullMerge(lbn, ops); err != nil {
 			return err
 		}
 	}
 	before := ops.MapFlushes
-	f.book.touch(lbn, ops)
-	f.stats.MapFlushes += int64(ops.MapFlushes - before)
+	f.book.touch(&f.st.Book, lbn, ops)
+	f.st.Stats.MapFlushes += int64(ops.MapFlushes - before)
 	return nil
 }
 
@@ -430,9 +471,9 @@ func (f *BlockFTL) Write(off, length int64) (Ops, error) {
 	if length == 0 {
 		return ops, nil
 	}
-	f.stats.HostWrites++
+	f.st.Stats.HostWrites++
 	pageSize := int64(f.arr.Geometry().PageSize)
-	f.stats.HostPagesWritten += (off+length-1)/pageSize - off/pageSize + 1
+	f.st.Stats.HostPagesWritten += (off+length-1)/pageSize - off/pageSize + 1
 	pos := off
 	end := off + length
 	for pos < end {
@@ -443,7 +484,7 @@ func (f *BlockFTL) Write(off, length int64) (Ops, error) {
 		}
 		pos = segEnd
 	}
-	f.lastReadSlot = -2
+	f.st.LastReadSlot = -2
 	return ops, nil
 }
 
@@ -456,7 +497,7 @@ func (f *BlockFTL) Read(off, length int64) (Ops, error) {
 	if length == 0 {
 		return ops, nil
 	}
-	f.stats.HostReads++
+	f.st.Stats.HostReads++
 	pageSize := int64(f.arr.Geometry().PageSize)
 	p0 := off / pageSize
 	p1 := (off + length - 1) / pageSize
@@ -473,15 +514,15 @@ func (f *BlockFTL) Read(off, length int64) (Ops, error) {
 			return ops, fmt.Errorf("ftl: read: %w", err)
 		}
 		ops.PageReads++
-		f.stats.PagesRead++
+		f.st.Stats.PagesRead++
 		physSlot := int64(pb)*int64(f.pagesPerBlock) + int64(pageInBlock)
-		if physSlot == f.lastReadSlot+1 {
+		if physSlot == f.st.LastReadSlot+1 {
 			ops.SeqPageReads++
 		} else if first {
 			ops.Stall += f.model.ReadSeek
 		}
 		first = false
-		f.lastReadSlot = physSlot
+		f.st.LastReadSlot = physSlot
 	}
 	return ops, nil
 }

@@ -263,7 +263,7 @@ func TestBlockFTLConsistency(t *testing.T) {
 	}
 	// Physical blocks used at most once across data and logs.
 	used := make(map[int]string)
-	for lbn, pb := range f.data {
+	for lbn, pb := range f.st.Data {
 		if pb < 0 {
 			continue
 		}
@@ -272,11 +272,14 @@ func TestBlockFTLConsistency(t *testing.T) {
 		}
 		used[int(pb)] = "data"
 	}
-	for lbn, log := range f.logs {
-		if prev, ok := used[log.pb]; ok {
-			t.Fatalf("block %d used twice (%s and log[%d])", log.pb, prev, lbn)
+	for _, log := range f.st.Logs {
+		if log.LBN < 0 {
+			continue
 		}
-		used[log.pb] = "log"
+		if prev, ok := used[log.PB]; ok {
+			t.Fatalf("block %d used twice (%s and log[%d])", log.PB, prev, log.LBN)
+		}
+		used[log.PB] = "log"
 	}
 	// Every written page resolves to a programmed location.
 	for p := range written {

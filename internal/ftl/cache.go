@@ -2,6 +2,9 @@ package ftl
 
 import (
 	"fmt"
+	"iter"
+	"math/bits"
+	"slices"
 	"time"
 )
 
@@ -75,20 +78,25 @@ func (c CacheConfig) validate() error {
 	return nil
 }
 
+// CacheRegion is one buffered cache region, as plain data.
+type CacheRegion struct {
+	ID      int64
+	Lines   []uint64 // dirty-line bitset, bit l = line l within the region
+	NLines  int64    // population count of Lines
+	MaxLine int64    // highest dirty line so far
+	Stream  bool
+}
+
+// cacheRegion is a resident region: its state plus the intrusive links of
+// the LRU chain it is on (streamLRU or zoneLRU); next doubles as the
+// freelist link when the region is not resident.
 type cacheRegion struct {
-	id      int64
-	lines   []uint64 // dirty-line bitset, bit l = line l within the region
-	nlines  int64    // population count of lines
-	maxLine int64    // highest dirty line so far
-	stream  bool
-	// prev/next are the intrusive links of the LRU chain the region is on
-	// (streamLRU or zoneLRU); next doubles as the freelist link when the
-	// region is not resident.
+	st         CacheRegion
 	prev, next *cacheRegion
 }
 
 func (r *cacheRegion) dirty(line int64) bool {
-	return r.lines[line>>6]&(1<<(uint(line)&63)) != 0
+	return r.st.Lines[line>>6]&(1<<(uint(line)&63)) != 0
 }
 
 // regionList is an intrusive doubly-linked LRU chain (front = MRU). Using the
@@ -101,6 +109,14 @@ type regionList struct {
 
 // Len returns the number of regions on the chain.
 func (l *regionList) Len() int { return l.n }
+
+// all yields the state of every region on the chain, front (MRU) first.
+func (l *regionList) all() iter.Seq[CacheRegion] {
+	return func(yield func(CacheRegion) bool) {
+		for r := l.front; r != nil && yield(r.st); r = r.next {
+		}
+	}
+}
 
 func (l *regionList) pushFront(r *cacheRegion) {
 	r.prev, r.next = nil, l.front
@@ -158,6 +174,49 @@ type CacheStats struct {
 	Promotions    int64 // zone -> stream promotions
 }
 
+// CacheState is the complete mutable state of a WriteCache, as plain data
+// (the layer underneath carries its own): Clone deep-copies it and the
+// persistent state store encodes it.
+type CacheState struct {
+	// StreamLRU and ZoneLRU are the region chains flattened front (MRU)
+	// first. A live cache keeps its regions on linked chains instead and
+	// leaves these nil: SnapshotTranslator flattens the chains into them,
+	// and Restore rebuilds the chains from them.
+	StreamLRU []CacheRegion
+	ZoneLRU   []CacheRegion
+
+	TotalLines int64
+	Stats      CacheStats
+	IdleCredit time.Duration
+
+	// LineData holds buffered line payloads; nil unless the stack stores
+	// data.
+	LineData map[int64][]byte
+}
+
+func (s *CacheState) clone() CacheState {
+	g := *s
+	g.StreamLRU = copyRegions(slices.Values(s.StreamLRU))
+	g.ZoneLRU = copyRegions(slices.Values(s.ZoneLRU))
+	if s.LineData != nil {
+		g.LineData = make(map[int64][]byte, len(s.LineData))
+		for l, buf := range s.LineData {
+			g.LineData[l] = append([]byte(nil), buf...)
+		}
+	}
+	return g
+}
+
+// copyRegions collects regions, each with its own copy of the bitset words.
+func copyRegions(regions iter.Seq[CacheRegion]) []CacheRegion {
+	var out []CacheRegion
+	for r := range regions {
+		r.Lines = append([]uint64(nil), r.Lines...)
+		out = append(out, r)
+	}
+	return out
+}
+
 // WriteCache models the controller write buffer in front of the translation
 // layer (Section 2.2: the FTL "might be able to cache and destage both data
 // and bookkeeping information").
@@ -169,30 +228,26 @@ type WriteCache struct {
 	linesPerRegion int64 //uflint:shared — derived from the config
 	lineWords      int   //uflint:shared — bitset words per region, derived from the config
 	capLines       int64 //uflint:shared — derived from the config
-	totalLines     int64
+
+	st CacheState
 	// regions is indexed by region id (logical offset / RegionBytes); nil
 	// means the region holds no dirty lines. The dense index replaces a
 	// map — region ids are bounded by the device capacity, and the write
 	// hot path spends most of its time looking regions up.
-	regions   []*cacheRegion //uflint:scratch — Snapshot walks the LRU chains; Restore rebuilds the dense index from them
+	regions   []*cacheRegion //uflint:scratch — derived from the chains; rebuild lays it out
 	streamLRU regionList
 	zoneLRU   regionList
 	// freeRegions recycles region structs (linked through next) so the
 	// steady state of flush-then-redirty does not allocate.
 	freeRegions *cacheRegion //uflint:scratch — allocation recycler, not state
 
-	stats      CacheStats
-	idleCredit time.Duration
-
 	// touched is a per-call scratch buffer reused across writes so the hot
 	// path does not allocate.
 	touched []*cacheRegion //uflint:scratch — per-call buffer, dead between calls
 
-	// Data plane (inner stack stores payloads only): buffered bytes per
-	// dirty line, the inner layer's data interfaces, and a flush-run
-	// staging buffer.
+	// Data plane (inner stack stores payloads only): the inner layer's data
+	// interfaces, and a flush-run staging buffer.
 	dataMode  bool
-	lineData  map[int64][]byte
 	innerData DataPlane //uflint:shared — wired at construction from the inner stack
 	innerPeek peeker    //uflint:shared — wired at construction from the inner stack
 	runBuf    []byte    //uflint:scratch — flush-run staging; contents dead between calls
@@ -221,7 +276,7 @@ func NewWriteCache(inner Translator, cfg CacheConfig, model CostModel) (*WriteCa
 	}
 	if dp, ok := inner.(DataPlane); ok && dp.StoresData() {
 		c.dataMode = true
-		c.lineData = make(map[int64][]byte)
+		c.st.LineData = make(map[int64][]byte)
 		c.innerData = dp
 		c.innerPeek = inner.(peeker)
 	}
@@ -238,11 +293,11 @@ func (c *WriteCache) newRegion(rid int64) *cacheRegion {
 	if r != nil {
 		c.freeRegions = r.next
 		r.next = nil
-		clear(r.lines)
-		r.id, r.nlines, r.maxLine, r.stream = rid, 0, -1, false
+		clear(r.st.Lines)
+		r.st = CacheRegion{ID: rid, Lines: r.st.Lines, MaxLine: -1}
 		return r
 	}
-	return &cacheRegion{id: rid, lines: make([]uint64, c.lineWords), maxLine: -1}
+	return &cacheRegion{st: CacheRegion{ID: rid, Lines: make([]uint64, c.lineWords), MaxLine: -1}}
 }
 
 // Clone returns a deep copy of the cache — regions, dirty lines, both LRU
@@ -250,39 +305,15 @@ func (c *WriteCache) newRegion(rid int64) *cacheRegion {
 func (c *WriteCache) Clone() Translator {
 	g := *c
 	g.inner = c.inner.Clone()
+	g.st = c.st.clone()
 	g.regions = make([]*cacheRegion, len(c.regions))
 	g.streamLRU, g.zoneLRU = regionList{}, regionList{}
 	g.freeRegions = nil
-	g.touched = nil
-	// All resident regions of the clone share one backing array (and one
-	// bitset block), allocated up front: cloning is the shard fan-out hot
-	// path.
-	backing := make([]cacheRegion, c.streamLRU.n+c.zoneLRU.n)
-	words := make([]uint64, len(backing)*c.lineWords)
-	i := 0
-	copyLRU := func(src *regionList, dst *regionList) {
-		for r := src.front; r != nil; r = r.next {
-			nr := &backing[i]
-			*nr = cacheRegion{
-				id:      r.id,
-				lines:   words[i*c.lineWords : (i+1)*c.lineWords : (i+1)*c.lineWords],
-				nlines:  r.nlines,
-				maxLine: r.maxLine,
-				stream:  r.stream,
-			}
-			copy(nr.lines, r.lines)
-			i++
-			dst.pushBack(nr)
-			g.regions[nr.id] = nr
-		}
+	if _, err := g.rebuild(c.streamLRU.all(), c.zoneLRU.all(), c.OpenRegions()); err != nil {
+		panic(fmt.Sprintf("ftl: cloning a write cache: %v", err))
 	}
-	copyLRU(&c.streamLRU, &g.streamLRU)
-	copyLRU(&c.zoneLRU, &g.zoneLRU)
+	g.touched = nil
 	if c.dataMode {
-		g.lineData = make(map[int64][]byte, len(c.lineData))
-		for l, buf := range c.lineData {
-			g.lineData[l] = append([]byte(nil), buf...)
-		}
 		g.innerData = g.inner.(DataPlane)
 		g.innerPeek = g.inner.(peeker)
 		g.runBuf = nil
@@ -290,11 +321,61 @@ func (c *WriteCache) Clone() Translator {
 	return &g
 }
 
+// rebuild makes the given regions — the stream chain's and the zone
+// chain's, each front (MRU) first, n in total — the resident set of a cache
+// whose chains and dense index are empty, and returns the number of dirty
+// lines they hold. Every region lands in one backing array with one bitset
+// block, allocated up front, because cloning is the shard fan-out hot path;
+// Restore lays out a decoded state the same way. The checks only fail on a
+// state read from outside.
+func (c *WriteCache) rebuild(streams, zones iter.Seq[CacheRegion], n int) (int64, error) {
+	backing := make([]cacheRegion, n)
+	words := make([]uint64, n*c.lineWords)
+	var lines int64
+	i := 0
+	for _, chain := range [...]struct {
+		regions iter.Seq[CacheRegion]
+		stream  bool
+	}{{streams, true}, {zones, false}} {
+		for src := range chain.regions {
+			switch {
+			case src.Stream != chain.stream:
+				return 0, fmt.Errorf("ftl: region %d in the wrong LRU chain", src.ID)
+			case src.ID < 0 || src.ID >= int64(len(c.regions)):
+				return 0, fmt.Errorf("ftl: region %d out of range", src.ID)
+			case c.regions[src.ID] != nil:
+				return 0, fmt.Errorf("ftl: region %d appears twice in the state", src.ID)
+			case len(src.Lines) != c.lineWords:
+				return 0, fmt.Errorf("ftl: region %d has %d bitset words, want %d", src.ID, len(src.Lines), c.lineWords)
+			}
+			var set int64
+			for _, w := range src.Lines {
+				set += int64(bits.OnesCount64(w))
+			}
+			if rem := c.linesPerRegion % 64; rem != 0 && src.Lines[c.lineWords-1]>>rem != 0 {
+				return 0, fmt.Errorf("ftl: region %d marks lines beyond %d", src.ID, c.linesPerRegion)
+			}
+			if set != src.NLines {
+				return 0, fmt.Errorf("ftl: region %d claims %d dirty lines, its bitset holds %d", src.ID, src.NLines, set)
+			}
+			nr := &backing[i]
+			nr.st = src
+			nr.st.Lines = words[i*c.lineWords : (i+1)*c.lineWords : (i+1)*c.lineWords]
+			copy(nr.st.Lines, src.Lines)
+			c.lruOf(nr).pushBack(nr)
+			c.regions[src.ID] = nr
+			lines += src.NLines
+			i++
+		}
+	}
+	return lines, nil
+}
+
 // Stats returns a snapshot of the cache counters.
-func (c *WriteCache) Stats() CacheStats { return c.stats }
+func (c *WriteCache) Stats() CacheStats { return c.st.Stats }
 
 // DirtyLines returns the number of buffered dirty lines.
-func (c *WriteCache) DirtyLines() int64 { return c.totalLines }
+func (c *WriteCache) DirtyLines() int64 { return c.st.TotalLines }
 
 // OpenRegions returns the number of regions holding dirty lines.
 func (c *WriteCache) OpenRegions() int { return c.streamLRU.n + c.zoneLRU.n }
@@ -303,7 +384,7 @@ func (c *WriteCache) OpenRegions() int { return c.streamLRU.n + c.zoneLRU.n }
 func (c *WriteCache) Inner() Translator { return c.inner }
 
 func (c *WriteCache) lruOf(r *cacheRegion) *regionList {
-	if r.stream {
+	if r.st.Stream {
 		return &c.streamLRU
 	}
 	return &c.zoneLRU
@@ -315,11 +396,11 @@ func (c *WriteCache) lruOf(r *cacheRegion) *regionList {
 // plain, payload-less Write).
 func (c *WriteCache) flushRegion(r *cacheRegion, ops *Ops) error {
 	c.lruOf(r).remove(r)
-	c.regions[r.id] = nil
-	c.totalLines -= r.nlines
+	c.regions[r.st.ID] = nil
+	c.st.TotalLines -= r.st.NLines
 	lb := int64(c.cfg.LineBytes)
-	base := r.id * int64(c.cfg.RegionBytes)
-	firstLine := r.id * c.linesPerRegion
+	base := r.st.ID * int64(c.cfg.RegionBytes)
+	firstLine := r.st.ID * c.linesPerRegion
 	var runStart int64 = -1
 	flushRun := func(endExclusive int64) error {
 		if runStart < 0 {
@@ -335,9 +416,9 @@ func (c *WriteCache) flushRegion(r *cacheRegion, ops *Ops) error {
 			run := c.runBuf[:length]
 			clear(run)
 			for l := runStart; l < endExclusive; l++ {
-				if buf, ok := c.lineData[firstLine+l]; ok {
+				if buf, ok := c.st.LineData[firstLine+l]; ok {
 					copy(run[(l-runStart)*lb:], buf)
-					delete(c.lineData, firstLine+l)
+					delete(c.st.LineData, firstLine+l)
 				}
 			}
 			inner, err = c.innerData.WriteData(off, run)
@@ -413,23 +494,23 @@ func (c *WriteCache) Write(off, length int64) (Ops, error) {
 			c.regions[rid] = r
 		}
 		firstLine := gl % c.linesPerRegion
-		ascending := r.maxLine >= 0 && firstLine == r.maxLine+1
+		ascending := r.st.MaxLine >= 0 && firstLine == r.st.MaxLine+1
 		// A write opening a region at its start is charged as a
 		// sequential append (the zone cannot tell yet), but promotion
 		// to a stream buffer still requires a confirmed extension.
-		openAtStart := r.maxLine < 0 && firstLine == 0
+		openAtStart := r.st.MaxLine < 0 && firstLine == 0
 		switch {
-		case ascending && !r.stream:
+		case ascending && !r.st.Stream:
 			// A write extending the region in order reveals a
 			// sequential stream: promote to a write-combining buffer.
 			c.zoneLRU.remove(r)
-			r.stream = true
+			r.st.Stream = true
 			c.streamLRU.pushFront(r)
-			c.stats.Promotions++
-		case !ascending && r.maxLine >= 0 && r.stream:
+			c.st.Stats.Promotions++
+		case !ascending && r.st.MaxLine >= 0 && r.st.Stream:
 			// Out-of-order write to a stream buffer: demote.
 			c.streamLRU.remove(r)
-			r.stream = false
+			r.st.Stream = false
 			c.zoneLRU.pushFront(r)
 		default:
 			c.lruOf(r).moveToFront(r)
@@ -441,16 +522,16 @@ func (c *WriteCache) Write(off, length int64) (Ops, error) {
 		for ; gl <= l1 && gl < regionEnd; gl++ {
 			lineInR := gl - rid*c.linesPerRegion
 			w, bit := lineInR>>6, uint64(1)<<(uint(lineInR)&63)
-			if r.lines[w]&bit != 0 {
-				c.stats.Hits++
+			if r.st.Lines[w]&bit != 0 {
+				c.st.Stats.Hits++
 			} else {
-				c.stats.Misses++
-				r.lines[w] |= bit
-				r.nlines++
-				c.totalLines++
+				c.st.Stats.Misses++
+				r.st.Lines[w] |= bit
+				r.st.NLines++
+				c.st.TotalLines++
 			}
-			if lineInR > r.maxLine {
-				r.maxLine = lineInR
+			if lineInR > r.st.MaxLine {
+				r.st.MaxLine = lineInR
 			}
 		}
 		touched = append(touched, r)
@@ -463,8 +544,8 @@ func (c *WriteCache) Write(off, length int64) (Ops, error) {
 
 	// Fully written regions flush immediately (cheap switch merge below).
 	for _, r := range touched {
-		if c.regions[r.id] == r && r.nlines == c.linesPerRegion {
-			c.stats.CompleteFlush++
+		if c.regions[r.st.ID] == r && r.st.NLines == c.linesPerRegion {
+			c.st.Stats.CompleteFlush++
 			if err := c.flushRegion(r, &ops); err != nil {
 				return ops, err
 			}
@@ -473,17 +554,17 @@ func (c *WriteCache) Write(off, length int64) (Ops, error) {
 	// Stream bound: too many concurrent sequential streams force partial
 	// flushes (the Partitioning cliff).
 	for c.cfg.Streams > 0 && c.streamLRU.n > c.cfg.Streams {
-		c.stats.StreamFlushes++
+		c.st.Stats.StreamFlushes++
 		if err := c.flushRegion(c.streamLRU.back, &ops); err != nil {
 			return ops, err
 		}
 	}
 	// Capacity bound: evict LRU zone regions (streams as a last resort),
 	// a batch at a time.
-	if c.totalLines > c.capLines {
+	if c.st.TotalLines > c.capLines {
 		// EvictBatch is normalized to >= 1 by NewWriteCache.
 		batch := c.cfg.EvictBatch
-		for i := 0; (i < batch || c.totalLines > c.capLines) && c.totalLines > 0; i++ {
+		for i := 0; (i < batch || c.st.TotalLines > c.capLines) && c.st.TotalLines > 0; i++ {
 			var r *cacheRegion
 			if c.zoneLRU.n > 0 {
 				r = c.zoneLRU.back
@@ -492,7 +573,7 @@ func (c *WriteCache) Write(off, length int64) (Ops, error) {
 			} else {
 				break
 			}
-			c.stats.CapFlushes++
+			c.st.Stats.CapFlushes++
 			if err := c.flushRegion(r, &ops); err != nil {
 				return ops, err
 			}
@@ -574,7 +655,7 @@ func (c *WriteCache) WriteData(off int64, data []byte) (Ops, error) {
 	l0 := off / lb
 	l1 := (off + int64(len(data)) - 1) / lb
 	for gl := l0; gl <= l1; gl++ {
-		buf, ok := c.lineData[gl]
+		buf, ok := c.st.LineData[gl]
 		if !ok {
 			buf = make([]byte, lb)
 			lineStart := gl * lb
@@ -586,7 +667,7 @@ func (c *WriteCache) WriteData(off int64, data []byte) (Ops, error) {
 					c.innerPeek.peekData(lineStart, buf)
 				}
 			}
-			c.lineData[gl] = buf
+			c.st.LineData[gl] = buf
 		}
 		overlay(buf, gl*lb, data, off)
 	}
@@ -623,7 +704,7 @@ func (c *WriteCache) peekData(off int64, buf []byte) {
 		switch {
 		case r != nil && r.dirty(gl%c.linesPerRegion):
 			clear(dst)
-			if line, has := c.lineData[gl]; has {
+			if line, has := c.st.LineData[gl]; has {
 				copy(dst, line[lineOff:])
 			}
 		default:
@@ -640,12 +721,12 @@ func (c *WriteCache) Idle(d time.Duration) {
 	if !c.cfg.DestageOnIdle || d <= 0 {
 		return
 	}
-	c.idleCredit += d
+	c.st.IdleCredit += d
 	const maxCredit = time.Second
-	if c.idleCredit > maxCredit {
-		c.idleCredit = maxCredit
+	if c.st.IdleCredit > maxCredit {
+		c.st.IdleCredit = maxCredit
 	}
-	for c.idleCredit > 0 && (c.zoneLRU.n > 0 || c.streamLRU.n > 0) {
+	for c.st.IdleCredit > 0 && (c.zoneLRU.n > 0 || c.streamLRU.n > 0) {
 		var r *cacheRegion
 		if c.zoneLRU.n > 0 {
 			r = c.zoneLRU.back
@@ -653,7 +734,7 @@ func (c *WriteCache) Idle(d time.Duration) {
 			r = c.streamLRU.back
 		}
 		var ops Ops
-		c.stats.IdleDestages++
+		c.st.Stats.IdleDestages++
 		if err := c.flushRegion(r, &ops); err != nil {
 			return
 		}
@@ -661,6 +742,6 @@ func (c *WriteCache) Idle(d time.Duration) {
 		if cost <= 0 {
 			cost = time.Microsecond
 		}
-		c.idleCredit -= cost
+		c.st.IdleCredit -= cost
 	}
 }

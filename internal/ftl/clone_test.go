@@ -246,8 +246,8 @@ func TestCloneIndependence(t *testing.T) {
 // TestMinHeapMatchesReference drives the generic heap against a straight
 // re-sorted reference on a pseudo-random push/pop mix.
 func TestMinHeapMatchesReference(t *testing.T) {
-	var h minHeap[freeBlock]
-	var ref []freeBlock
+	var h minHeap[FreeBlock]
+	var ref []FreeBlock
 	z := uint64(12345)
 	next := func() uint64 {
 		z ^= z << 13
@@ -257,7 +257,7 @@ func TestMinHeapMatchesReference(t *testing.T) {
 	}
 	for i := 0; i < 5000; i++ {
 		if h.Len() == 0 || next()%3 != 0 {
-			fb := freeBlock{block: i, eraseCount: int(next() % 8)}
+			fb := FreeBlock{Block: i, EraseCount: int(next() % 8)}
 			h.Push(fb)
 			ref = append(ref, fb)
 			continue
@@ -299,16 +299,16 @@ func TestMinHeapMatchesReference(t *testing.T) {
 // heap: once the backing slice has grown, push/pop cycles allocate nothing
 // (container/heap boxed every element through interface{}).
 func TestMinHeapZeroAlloc(t *testing.T) {
-	var h minHeap[victimBlock]
+	var h minHeap[VictimBlock]
 	for i := 0; i < 256; i++ {
-		h.Push(victimBlock{block: i, live: i % 7, eraseCount: i % 3})
+		h.Push(VictimBlock{Block: i, Live: i % 7, EraseCount: i % 3})
 	}
 	for h.Len() > 128 {
 		h.Pop()
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(1000, func() {
-		h.Push(victimBlock{block: i, live: i % 5, eraseCount: i % 2})
+		h.Push(VictimBlock{Block: i, Live: i % 5, EraseCount: i % 2})
 		h.Pop()
 		i++
 	})
@@ -320,14 +320,14 @@ func TestMinHeapZeroAlloc(t *testing.T) {
 // TestMapBookRingZeroAlloc pins that steady-state map bookkeeping (the ring
 // FIFO of dirty map pages) allocates nothing once warm.
 func TestMapBookRingZeroAlloc(t *testing.T) {
-	b := newMapBook(4, 8)
+	b, s := newMapBook(4, 8)
 	var ops Ops
 	for i := int64(0); i < 1024; i++ {
-		b.touch(i*4, &ops)
+		b.touch(&s, i*4, &ops)
 	}
 	i := int64(1024)
 	allocs := testing.AllocsPerRun(1000, func() {
-		b.touch(i*4, &ops)
+		b.touch(&s, i*4, &ops)
 		i++
 	})
 	if allocs != 0 {

@@ -170,24 +170,24 @@ func TestArrayRejectsMixedGeometry(t *testing.T) {
 }
 
 func TestMapBook(t *testing.T) {
-	b := newMapBook(16, 2)
+	b, s := newMapBook(16, 2)
 	var ops Ops
-	b.touch(0, &ops)  // page 0
-	b.touch(20, &ops) // page 1
+	b.touch(&s, 0, &ops)  // page 0
+	b.touch(&s, 20, &ops) // page 1
 	if ops.MapFlushes != 0 || ops.SeqMapFlushes != 0 {
 		t.Fatalf("flush before limit: %+v", ops)
 	}
-	b.touch(40, &ops) // page 2 -> evicts page 0 (first flush: non-adjacent)
+	b.touch(&s, 40, &ops) // page 2 -> evicts page 0 (first flush: non-adjacent)
 	if ops.MapFlushes != 1 {
 		t.Fatalf("flushes = %d, want 1", ops.MapFlushes)
 	}
-	b.touch(60, &ops) // page 3 -> evicts page 1, adjacent to last flushed 0
+	b.touch(&s, 60, &ops) // page 3 -> evicts page 1, adjacent to last flushed 0
 	if ops.SeqMapFlushes != 1 {
 		t.Fatalf("seq flushes = %d, want 1", ops.SeqMapFlushes)
 	}
 	// Re-touching a dirty page causes nothing.
 	before := ops
-	b.touch(41, &ops) // page 2 already dirty
+	b.touch(&s, 41, &ops) // page 2 already dirty
 	if ops != before {
 		t.Fatalf("dirty re-touch changed ops: %+v", ops)
 	}

@@ -81,11 +81,51 @@ func (c PageConfig) validate(a *Array) error {
 	return nil
 }
 
-type writePoint struct {
-	block    int   // physical block being filled, -1 if none
-	nextSlot int   // next unit slot within block
-	lastUnit int64 // last logical unit appended (stream detection)
-	lastUse  int64 // LRU tick
+// WritePoint is the state of one append stream.
+type WritePoint struct {
+	Block    int   // physical block being filled, -1 if none
+	NextSlot int   // next unit slot within block
+	LastUnit int64 // last logical unit appended (stream detection)
+	LastUse  int64 // LRU tick
+}
+
+// PageFTLState is the complete mutable state of a PageFTL, as plain data
+// (the flash array underneath carries its own): Clone deep-copies it and the
+// persistent state store encodes it.
+type PageFTLState struct {
+	FMap []int64 // logical unit -> physical slot (block*unitsPerBlock+slot), -1 unmapped
+	RMap []int64 // physical slot -> logical unit, -1 free/obsolete
+	Live []int32 // physical block -> live unit count
+
+	Free    minHeap[FreeBlock]
+	Victims minHeap[VictimBlock]
+	VGen    []int32 // per-block generation, guards ghost victim entries
+	IsOpen  []bool  // block currently attached to a write point
+
+	WPs  []WritePoint
+	GCWP WritePoint
+	Tick int64
+
+	Book MapBookState
+
+	IdleCredit time.Duration
+	Stats      Stats
+
+	LastReadSlot int64 // physical slot of previous page read, for pipelining
+}
+
+func (s *PageFTLState) clone() PageFTLState {
+	g := *s
+	g.FMap = append([]int64(nil), s.FMap...)
+	g.RMap = append([]int64(nil), s.RMap...)
+	g.Live = append([]int32(nil), s.Live...)
+	g.Free = append(minHeap[FreeBlock](nil), s.Free...)
+	g.Victims = append(minHeap[VictimBlock](nil), s.Victims...)
+	g.VGen = append([]int32(nil), s.VGen...)
+	g.IsOpen = append([]bool(nil), s.IsOpen...)
+	g.WPs = append([]WritePoint(nil), s.WPs...)
+	g.Book = s.Book.clone()
+	return g
 }
 
 // PageFTL is a page-granularity (unit-granularity) mapped flash translation
@@ -101,25 +141,8 @@ type PageFTL struct {
 	unitsPerBlock int   //uflint:shared — derived from the geometry
 	logicalUnits  int64 //uflint:shared — derived from the geometry
 
-	fmap []int64 // logical unit -> physical slot (block*unitsPerBlock+slot), -1 unmapped
-	rmap []int64 // physical slot -> logical unit, -1 free/obsolete
-	live []int32 // physical block -> live unit count
-
-	free    *freeHeap
-	victims *victimHeap
-	vgen    []int32 // per-block generation, guards ghost victim entries
-	isOpen  []bool  // block currently attached to a write point
-
-	wps  []writePoint
-	gcWP writePoint
-	tick int64
-
+	st   PageFTLState
 	book mapBook
-
-	idleCredit time.Duration
-	stats      Stats
-
-	lastReadSlot int64 // physical slot of previous page read, for pipelining
 
 	// Data plane (flash built with data storage only): pending host bytes
 	// of the WriteData call in flight, and the staging buffer holding one
@@ -148,31 +171,32 @@ func NewPageFTL(arr *Array, cfg PageConfig, model CostModel) (*PageFTL, error) {
 		unitBytes:     int64(cfg.UnitBytes),
 		pagesPerUnit:  cfg.UnitBytes / arr.Geometry().PageSize,
 		unitsPerBlock: blockSize / cfg.UnitBytes,
-		free:          &freeHeap{},
-		victims:       &victimHeap{},
-		lastReadSlot:  -2,
 	}
 	f.logicalUnits = (cfg.LogicalBytes + f.unitBytes - 1) / f.unitBytes
-	f.fmap = make([]int64, f.logicalUnits)
-	for i := range f.fmap {
-		f.fmap[i] = -1
+	idle := WritePoint{Block: -1, LastUnit: -2}
+	f.st = PageFTLState{
+		FMap:         make([]int64, f.logicalUnits),
+		RMap:         make([]int64, int64(arr.Blocks())*int64(f.unitsPerBlock)),
+		Live:         make([]int32, arr.Blocks()),
+		VGen:         make([]int32, arr.Blocks()),
+		IsOpen:       make([]bool, arr.Blocks()),
+		WPs:          make([]WritePoint, cfg.WritePoints),
+		GCWP:         idle,
+		LastReadSlot: -2,
 	}
-	f.rmap = make([]int64, int64(arr.Blocks())*int64(f.unitsPerBlock))
-	for i := range f.rmap {
-		f.rmap[i] = -1
+	for i := range f.st.FMap {
+		f.st.FMap[i] = -1
 	}
-	f.live = make([]int32, arr.Blocks())
-	f.vgen = make([]int32, arr.Blocks())
-	f.isOpen = make([]bool, arr.Blocks())
+	for i := range f.st.RMap {
+		f.st.RMap[i] = -1
+	}
 	for b := 0; b < arr.Blocks(); b++ {
-		f.free.Push(freeBlock{block: b, eraseCount: 0})
+		f.st.Free.Push(FreeBlock{Block: b, EraseCount: 0})
 	}
-	f.wps = make([]writePoint, cfg.WritePoints)
-	for i := range f.wps {
-		f.wps[i] = writePoint{block: -1, lastUnit: -2}
+	for i := range f.st.WPs {
+		f.st.WPs[i] = idle
 	}
-	f.gcWP = writePoint{block: -1, lastUnit: -2}
-	f.book = newMapBook(int64(cfg.MapUnitsPerPage), cfg.MapDirtyLimit)
+	f.book, f.st.Book = newMapBook(int64(cfg.MapUnitsPerPage), cfg.MapDirtyLimit)
 	if arr.StoresData() {
 		f.dataMode = true
 		f.unitData = make([]byte, cfg.UnitBytes)
@@ -187,14 +211,7 @@ func (f *PageFTL) Capacity() int64 { return f.cfg.LogicalBytes }
 func (f *PageFTL) Clone() Translator {
 	g := *f
 	g.arr = f.arr.Clone()
-	g.fmap = append([]int64(nil), f.fmap...)
-	g.rmap = append([]int64(nil), f.rmap...)
-	g.live = append([]int32(nil), f.live...)
-	g.vgen = append([]int32(nil), f.vgen...)
-	g.isOpen = append([]bool(nil), f.isOpen...)
-	g.free = f.free.clone()
-	g.victims = f.victims.clone()
-	g.wps = append([]writePoint(nil), f.wps...)
+	g.st = f.st.clone()
 	g.book = f.book.clone()
 	if f.dataMode {
 		g.unitData = make([]byte, len(f.unitData))
@@ -204,16 +221,16 @@ func (f *PageFTL) Clone() Translator {
 }
 
 // Stats returns a snapshot of the FTL counters.
-func (f *PageFTL) Stats() Stats { return f.stats }
+func (f *PageFTL) Stats() Stats { return f.st.Stats }
 
 // FreeBlocks returns the current size of the pre-erased pool (for tests and
 // the state/ablation experiments).
-func (f *PageFTL) FreeBlocks() int { return f.free.Len() }
+func (f *PageFTL) FreeBlocks() int { return f.st.Free.Len() }
 
 // MappedUnits returns how many logical units currently map to flash.
 func (f *PageFTL) MappedUnits() int64 {
 	var n int64
-	for _, s := range f.fmap {
+	for _, s := range f.st.FMap {
 		if s >= 0 {
 			n++
 		}
@@ -231,29 +248,29 @@ func (f *PageFTL) slotOf(block, slot int) int64 {
 // drained.
 func (f *PageFTL) allocBlock(ops *Ops, forGC bool) (int, error) {
 	if !forGC {
-		for f.free.Len() < 2 {
+		for f.st.Free.Len() < 2 {
 			// GCBatch is normalized to >= 1 by NewPageFTL.
-			for i := 0; i < f.cfg.GCBatch && f.victims.Len() > 0; i++ {
+			for i := 0; i < f.cfg.GCBatch && f.st.Victims.Len() > 0; i++ {
 				if err := f.collectOne(ops); err != nil {
 					return 0, err
 				}
 			}
-			if f.victims.Len() == 0 && f.free.Len() < 2 {
+			if f.st.Victims.Len() == 0 && f.st.Free.Len() < 2 {
 				return 0, ErrNoSpace
 			}
 		}
 	}
-	if f.free.Len() == 0 {
+	if f.st.Free.Len() == 0 {
 		return 0, ErrNoSpace
 	}
-	fb := f.free.Pop()
-	f.isOpen[fb.block] = true
-	return fb.block, nil
+	fb := f.st.Free.Pop()
+	f.st.IsOpen[fb.Block] = true
+	return fb.Block, nil
 }
 
 func (f *PageFTL) pushFree(block int) {
 	ec, _ := f.arr.EraseCount(block)
-	f.free.Push(freeBlock{block: block, eraseCount: ec})
+	f.st.Free.Push(FreeBlock{Block: block, EraseCount: ec})
 }
 
 // collectOne garbage-collects the closed block with the fewest live units,
@@ -265,14 +282,14 @@ func (f *PageFTL) collectOne(ops *Ops) error {
 	if !ok {
 		return ErrNoSpace
 	}
-	f.stats.Merges++
-	liveUnits := int(f.live[victim])
+	f.st.Stats.Merges++
+	liveUnits := int(f.st.Live[victim])
 	if liveUnits == 0 {
-		f.stats.SwitchMerges++
+		f.st.Stats.SwitchMerges++
 	}
 	for slot := 0; slot < f.unitsPerBlock && liveUnits > 0; slot++ {
 		ps := f.slotOf(victim, slot)
-		unit := f.rmap[ps]
+		unit := f.st.RMap[ps]
 		if unit < 0 {
 			continue
 		}
@@ -284,9 +301,9 @@ func (f *PageFTL) collectOne(ops *Ops) error {
 			}
 		}
 		ops.MergeReads += f.pagesPerUnit
-		f.stats.PagesRead += int64(f.pagesPerUnit)
+		f.st.Stats.PagesRead += int64(f.pagesPerUnit)
 		// Relocate it through the GC write point.
-		if err := f.appendUnit(&f.gcWP, unit, ops, true, 0); err != nil {
+		if err := f.appendUnit(&f.st.GCWP, unit, ops, true, 0); err != nil {
 			return err
 		}
 	}
@@ -294,9 +311,9 @@ func (f *PageFTL) collectOne(ops *Ops) error {
 		return fmt.Errorf("ftl: gc erase: %w", err)
 	}
 	ops.Erases++
-	f.stats.BlocksErased++
-	f.live[victim] = 0
-	f.vgen[victim]++ // any heap entries for this life become ghosts
+	f.st.Stats.BlocksErased++
+	f.st.Live[victim] = 0
+	f.st.VGen[victim]++ // any heap entries for this life become ghosts
 	f.pushFree(victim)
 	return nil
 }
@@ -306,11 +323,11 @@ func (f *PageFTL) collectOne(ops *Ops) error {
 // fully live blocks are never candidates; a fully live block enters the heap
 // the moment one of its units is overwritten.
 func (f *PageFTL) pushVictim(block int) {
-	if f.isOpen[block] || int(f.live[block]) >= f.unitsPerBlock {
+	if f.st.IsOpen[block] || int(f.st.Live[block]) >= f.unitsPerBlock {
 		return
 	}
 	ec, _ := f.arr.EraseCount(block)
-	f.victims.Push(victimBlock{block: block, live: int(f.live[block]), eraseCount: ec, gen: f.vgen[block]})
+	f.st.Victims.Push(VictimBlock{Block: block, Live: int(f.st.Live[block]), EraseCount: ec, Gen: f.st.VGen[block]})
 }
 
 // popVictim returns the closed block with the fewest live units, using a
@@ -320,46 +337,46 @@ func (f *PageFTL) pushVictim(block int) {
 // entries are only pushed for blocks with obsolete slots and closed blocks
 // never gain live units.
 func (f *PageFTL) popVictim() (int, bool) {
-	for f.victims.Len() > 0 {
-		v := f.victims.Pop()
-		if v.gen != f.vgen[v.block] || f.isOpen[v.block] {
+	for f.st.Victims.Len() > 0 {
+		v := f.st.Victims.Pop()
+		if v.Gen != f.st.VGen[v.Block] || f.st.IsOpen[v.Block] {
 			continue // ghost from a previous life of this block
 		}
-		cur := f.live[v.block]
-		if int32(v.live) != cur {
-			f.victims.Push(victimBlock{block: v.block, live: int(cur), eraseCount: v.eraseCount, gen: v.gen})
+		cur := f.st.Live[v.Block]
+		if int32(v.Live) != cur {
+			f.st.Victims.Push(VictimBlock{Block: v.Block, Live: int(cur), EraseCount: v.EraseCount, Gen: v.Gen})
 			continue
 		}
 		if int(cur) >= f.unitsPerBlock {
 			continue // duplicate entry gone stale; drop it
 		}
-		return v.block, true
+		return v.Block, true
 	}
 	return 0, false
 }
 
-func (f *PageFTL) closeWP(wp *writePoint) {
-	if wp.block < 0 {
+func (f *PageFTL) closeWP(wp *WritePoint) {
+	if wp.Block < 0 {
 		return
 	}
-	f.isOpen[wp.block] = false
-	f.pushVictim(wp.block)
-	wp.block = -1
-	wp.nextSlot = 0
+	f.st.IsOpen[wp.Block] = false
+	f.pushVictim(wp.Block)
+	wp.Block = -1
+	wp.NextSlot = 0
 }
 
 // appendUnit writes one unit's worth of pages at wp, updating the maps.
 // hostPages of the unit carry host-supplied data (streamed, well pipelined);
 // the rest are read-modify-write copies priced on the merge path.
-func (f *PageFTL) appendUnit(wp *writePoint, unit int64, ops *Ops, forGC bool, hostPages int) error {
-	if wp.block < 0 || wp.nextSlot >= f.unitsPerBlock {
+func (f *PageFTL) appendUnit(wp *WritePoint, unit int64, ops *Ops, forGC bool, hostPages int) error {
+	if wp.Block < 0 || wp.NextSlot >= f.unitsPerBlock {
 		f.closeWP(wp)
 		b, err := f.allocBlock(ops, forGC)
 		if err != nil {
 			return err
 		}
-		wp.block = b
-		wp.nextSlot = 0
+		wp.Block = b
+		wp.NextSlot = 0
 	}
 	if f.dataMode {
 		// Stage the unit's payload — current content overlaid with any
@@ -367,16 +384,16 @@ func (f *PageFTL) appendUnit(wp *writePoint, unit int64, ops *Ops, forGC bool, h
 		// may just have relocated this unit) and before the maps move.
 		f.stageUnit(unit, !forGC)
 	}
-	base := wp.nextSlot * f.pagesPerUnit
+	base := wp.NextSlot * f.pagesPerUnit
 	pageSize := f.arr.Geometry().PageSize
 	for p := 0; p < f.pagesPerUnit; p++ {
 		if f.dataMode {
-			if err := f.arr.ProgramPageData(wp.block, base+p, f.unitData[p*pageSize:(p+1)*pageSize]); err != nil {
+			if err := f.arr.ProgramPageData(wp.Block, base+p, f.unitData[p*pageSize:(p+1)*pageSize]); err != nil {
 				return fmt.Errorf("ftl: program: %w", err)
 			}
 			continue
 		}
-		if err := f.arr.ProgramPage(wp.block, base+p); err != nil {
+		if err := f.arr.ProgramPage(wp.Block, base+p); err != nil {
 			return fmt.Errorf("ftl: program: %w", err)
 		}
 	}
@@ -389,31 +406,31 @@ func (f *PageFTL) appendUnit(wp *writePoint, unit int64, ops *Ops, forGC bool, h
 		ops.PagePrograms += hostPages
 		ops.MergePrograms += f.pagesPerUnit - hostPages
 	}
-	f.stats.PagesProgrammed += int64(f.pagesPerUnit)
+	f.st.Stats.PagesProgrammed += int64(f.pagesPerUnit)
 
 	// Obsolete the old location, if any; the old block becomes (or gets
 	// closer to being) a garbage-collection candidate.
-	if old := f.fmap[unit]; old >= 0 {
-		f.rmap[old] = -1
+	if old := f.st.FMap[unit]; old >= 0 {
+		f.st.RMap[old] = -1
 		oldBlock := int(old / int64(f.unitsPerBlock))
-		f.live[oldBlock]--
+		f.st.Live[oldBlock]--
 		f.pushVictim(oldBlock)
 	}
-	ps := f.slotOf(wp.block, wp.nextSlot)
-	f.fmap[unit] = ps
-	f.rmap[ps] = unit
-	f.live[wp.block]++
-	wp.nextSlot++
-	wp.lastUnit = unit
-	f.tick++
-	wp.lastUse = f.tick
+	ps := f.slotOf(wp.Block, wp.NextSlot)
+	f.st.FMap[unit] = ps
+	f.st.RMap[ps] = unit
+	f.st.Live[wp.Block]++
+	wp.NextSlot++
+	wp.LastUnit = unit
+	f.st.Tick++
+	wp.LastUse = f.st.Tick
 
 	// Direct-map bookkeeping (Section 2.2: updates of bookkeeping
 	// information are themselves flash writes).
 	if !forGC {
 		before := ops.MapFlushes
-		f.book.touch(unit, ops)
-		f.stats.MapFlushes += int64(ops.MapFlushes - before)
+		f.book.touch(&f.st.Book, unit, ops)
+		f.st.Stats.MapFlushes += int64(ops.MapFlushes - before)
 	}
 	return nil
 }
@@ -425,7 +442,7 @@ func (f *PageFTL) appendUnit(wp *writePoint, unit int64, ops *Ops, forGC bool, h
 func (f *PageFTL) stageUnit(unit int64, overlayHost bool) {
 	clear(f.unitData)
 	pageSize := f.arr.Geometry().PageSize
-	if old := f.fmap[unit]; old >= 0 {
+	if old := f.st.FMap[unit]; old >= 0 {
 		block := int(old / int64(f.unitsPerBlock))
 		slot := int(old % int64(f.unitsPerBlock))
 		for p := 0; p < f.pagesPerUnit; p++ {
@@ -482,7 +499,7 @@ func (f *PageFTL) peekData(off int64, buf []byte) {
 			n = rest
 		}
 		unit := gp * pageSize / f.unitBytes
-		if ps := f.fmap[unit]; ps >= 0 {
+		if ps := f.st.FMap[unit]; ps >= 0 {
 			block := int(ps / int64(f.unitsPerBlock))
 			slot := int(ps % int64(f.unitsPerBlock))
 			pageInUnit := int(gp % (f.unitBytes / pageSize))
@@ -499,14 +516,14 @@ func (f *PageFTL) peekData(off int64, buf []byte) {
 // pickWP returns the write point for a unit: a stream whose last unit is the
 // immediate predecessor continues; otherwise the least-recently-used stream
 // is reassigned.
-func (f *PageFTL) pickWP(unit int64) *writePoint {
-	var lru *writePoint
-	for i := range f.wps {
-		wp := &f.wps[i]
-		if wp.lastUnit+1 == unit || wp.lastUnit == unit {
+func (f *PageFTL) pickWP(unit int64) *WritePoint {
+	var lru *WritePoint
+	for i := range f.st.WPs {
+		wp := &f.st.WPs[i]
+		if wp.LastUnit+1 == unit || wp.LastUnit == unit {
 			return wp
 		}
-		if lru == nil || wp.lastUse < lru.lastUse {
+		if lru == nil || wp.LastUse < lru.LastUse {
 			lru = wp
 		}
 	}
@@ -522,9 +539,9 @@ func (f *PageFTL) Write(off, length int64) (Ops, error) {
 	if length == 0 {
 		return ops, nil
 	}
-	f.stats.HostWrites++
+	f.st.Stats.HostWrites++
 	pageSize := int64(f.arr.Geometry().PageSize)
-	f.stats.HostPagesWritten += (off+length-1)/pageSize - off/pageSize + 1
+	f.st.Stats.HostPagesWritten += (off+length-1)/pageSize - off/pageSize + 1
 	journal := f.cfg.JournalMaxBytes > 0 && length <= f.cfg.JournalMaxBytes && length < f.unitBytes
 	u0 := off / f.unitBytes
 	u1 := (off + length - 1) / f.unitBytes
@@ -543,8 +560,8 @@ func (f *PageFTL) Write(off, length int64) (Ops, error) {
 			fullyCovered = 0
 		}
 		oldPages := f.pagesPerUnit - fullyCovered
-		if !journal && oldPages > 0 && f.fmap[u] >= 0 {
-			old := f.fmap[u]
+		if !journal && oldPages > 0 && f.st.FMap[u] >= 0 {
+			old := f.st.FMap[u]
 			block := int(old / int64(f.unitsPerBlock))
 			slot := int(old % int64(f.unitsPerBlock))
 			for p := 0; p < oldPages && p < f.pagesPerUnit; p++ {
@@ -553,10 +570,10 @@ func (f *PageFTL) Write(off, length int64) (Ops, error) {
 				}
 			}
 			ops.MergeReads += oldPages
-			f.stats.PagesRead += int64(oldPages)
+			f.st.Stats.PagesRead += int64(oldPages)
 		}
 		hostPages := writtenPages
-		if f.fmap[u] < 0 {
+		if f.st.FMap[u] < 0 {
 			// Nothing to copy for an unmapped unit: the blank filler
 			// pages stream like host data (the out-of-box cheapness of
 			// Section 4.1).
@@ -577,7 +594,7 @@ func (f *PageFTL) Write(off, length int64) (Ops, error) {
 			}
 		}
 	}
-	f.lastReadSlot = -2
+	f.st.LastReadSlot = -2
 	return ops, nil
 }
 
@@ -590,14 +607,14 @@ func (f *PageFTL) Read(off, length int64) (Ops, error) {
 	if length == 0 {
 		return ops, nil
 	}
-	f.stats.HostReads++
+	f.st.Stats.HostReads++
 	pageSize := int64(f.arr.Geometry().PageSize)
 	p0 := off / pageSize
 	p1 := (off + length - 1) / pageSize
 	first := true
 	for gp := p0; gp <= p1; gp++ {
 		unit := gp * pageSize / f.unitBytes
-		ps := f.fmap[unit]
+		ps := f.st.FMap[unit]
 		if ps < 0 {
 			// Unmapped: the device returns a deterministic pattern
 			// straight from the controller.
@@ -612,19 +629,19 @@ func (f *PageFTL) Read(off, length int64) (Ops, error) {
 			return ops, fmt.Errorf("ftl: read: %w", err)
 		}
 		ops.PageReads++
-		f.stats.PagesRead++
+		f.st.Stats.PagesRead++
 		physSlot := int64(block)*int64(f.arr.Geometry().PagesPerBlock) + int64(page)
-		if physSlot == f.lastReadSlot+1 {
+		if physSlot == f.st.LastReadSlot+1 {
 			ops.SeqPageReads++
 		} else if first {
 			ops.Stall += f.model.ReadSeek
 		}
 		first = false
-		f.lastReadSlot = physSlot
+		f.st.LastReadSlot = physSlot
 	}
 	// Lingering reclamation (Figure 5): while the free pool is below
 	// target, background collection steals time from reads.
-	if f.cfg.AsyncReclaim && f.cfg.ReadSteal > 0 && f.free.Len() < f.cfg.ReserveBlocks && f.victims.Len() > 0 {
+	if f.cfg.AsyncReclaim && f.cfg.ReadSteal > 0 && f.st.Free.Len() < f.cfg.ReserveBlocks && f.st.Victims.Len() > 0 {
 		stall := time.Duration(f.cfg.ReadSteal * float64(f.model.Cost(ops)))
 		ops.Stall += stall
 		f.reclaimWithCredit(stall)
@@ -641,29 +658,29 @@ func (f *PageFTL) Idle(d time.Duration) {
 }
 
 func (f *PageFTL) reclaimWithCredit(d time.Duration) {
-	f.idleCredit += d
+	f.st.IdleCredit += d
 	// Cap the credit so an hour of idleness cannot fund unbounded future
 	// work in zero time.
 	maxCredit := f.model.ReclaimCost(f.unitsPerBlock*f.pagesPerUnit) * time.Duration(f.cfg.ReserveBlocks)
-	if f.idleCredit > maxCredit {
-		f.idleCredit = maxCredit
+	if f.st.IdleCredit > maxCredit {
+		f.st.IdleCredit = maxCredit
 	}
 	// Idle time cannot be banked: once the pool is back at its target the
 	// remaining credit evaporates (a device cannot save past idleness to
 	// spend during a later burst).
 	defer func() {
-		if f.free.Len() >= f.cfg.ReserveBlocks {
-			f.idleCredit = 0
+		if f.st.Free.Len() >= f.cfg.ReserveBlocks {
+			f.st.IdleCredit = 0
 		}
 	}()
-	for f.free.Len() < f.cfg.ReserveBlocks && f.victims.Len() > 0 {
+	for f.st.Free.Len() < f.cfg.ReserveBlocks && f.st.Victims.Len() > 0 {
 		// Peek at the cheapest victim to price the reclamation.
 		victim, ok := f.popVictim()
 		if !ok {
 			return
 		}
-		cost := f.model.ReclaimCost(int(f.live[victim]) * f.pagesPerUnit)
-		if f.idleCredit < cost {
+		cost := f.model.ReclaimCost(int(f.st.Live[victim]) * f.pagesPerUnit)
+		if f.st.IdleCredit < cost {
 			// Not enough idle time; put the victim back.
 			f.pushVictim(victim)
 			return
@@ -675,8 +692,8 @@ func (f *PageFTL) reclaimWithCredit(d time.Duration) {
 		if err := f.collectOne(&bg); err != nil {
 			return
 		}
-		f.idleCredit -= cost
-		f.stats.AsyncReclaims++
+		f.st.IdleCredit -= cost
+		f.st.Stats.AsyncReclaims++
 	}
 }
 

@@ -266,31 +266,31 @@ func TestPageFTLMappingConsistency(t *testing.T) {
 func checkPageFTLConsistency(t *testing.T, f *PageFTL) {
 	t.Helper()
 	// fmap and rmap are mutually consistent.
-	for unit, slot := range f.fmap {
+	for unit, slot := range f.st.FMap {
 		if slot < 0 {
 			continue
 		}
-		if f.rmap[slot] != int64(unit) {
-			t.Fatalf("fmap[%d]=%d but rmap[%d]=%d", unit, slot, slot, f.rmap[slot])
+		if f.st.RMap[slot] != int64(unit) {
+			t.Fatalf("fmap[%d]=%d but rmap[%d]=%d", unit, slot, slot, f.st.RMap[slot])
 		}
 	}
 	liveFromRmap := make([]int32, f.arr.Blocks())
-	for slot, unit := range f.rmap {
+	for slot, unit := range f.st.RMap {
 		if unit < 0 {
 			continue
 		}
-		if f.fmap[unit] != int64(slot) {
-			t.Fatalf("rmap[%d]=%d but fmap[%d]=%d", slot, unit, unit, f.fmap[unit])
+		if f.st.FMap[unit] != int64(slot) {
+			t.Fatalf("rmap[%d]=%d but fmap[%d]=%d", slot, unit, unit, f.st.FMap[unit])
 		}
 		liveFromRmap[slot/f.unitsPerBlock]++
 	}
 	for b, want := range liveFromRmap {
-		if f.live[b] != want {
-			t.Fatalf("live[%d]=%d, reverse map says %d", b, f.live[b], want)
+		if f.st.Live[b] != want {
+			t.Fatalf("live[%d]=%d, reverse map says %d", b, f.st.Live[b], want)
 		}
 	}
 	// Every mapped unit's pages are programmed on the chip.
-	for unit, slot := range f.fmap {
+	for unit, slot := range f.st.FMap {
 		if slot < 0 {
 			continue
 		}

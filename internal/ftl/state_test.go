@@ -46,13 +46,13 @@ func buildDataStack(t *testing.T) *ftl.WriteCache {
 	return cache
 }
 
-func gobRoundTrip(t *testing.T, snap *ftl.TranslatorSnapshot) *ftl.TranslatorSnapshot {
+func gobRoundTrip(t *testing.T, snap *ftl.TranslatorState) *ftl.TranslatorState {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
 		t.Fatal(err)
 	}
-	var out ftl.TranslatorSnapshot
+	var out ftl.TranslatorState
 	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +132,11 @@ func TestSnapshotNilDataMapsRestore(t *testing.T) {
 	}
 	// Simulate the nil-collapsing encoder.
 	decoded.Cache.LineData = nil
-	for _, cs := range decoded.Cache.Inner.Page.Arr.Chips {
-		if len(cs.Data) != 0 {
+	for i := range decoded.Inner.Chips {
+		if len(decoded.Inner.Chips[i].Data) != 0 {
 			t.Fatal("test premise broken: untouched stack has stored payloads")
 		}
-		cs.Data = nil
+		decoded.Inner.Chips[i].Data = nil
 	}
 	fresh := buildDataStack(t)
 	if err := ftl.RestoreTranslator(fresh, decoded); err != nil {

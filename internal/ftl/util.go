@@ -1,5 +1,7 @@
 package ftl
 
+import "fmt"
+
 // ordered is the constraint of the FTL's min-heaps: each element knows how to
 // compare itself to another of its kind.
 type ordered[T any] interface{ before(T) bool }
@@ -8,26 +10,26 @@ type ordered[T any] interface{ before(T) bool }
 // container/heap: Push and Pop move concrete values instead of boxing every
 // element through interface{}, so the steady-state allocation-and-GC path of
 // the FTLs allocates nothing (the backing slice only grows until the working
-// set's high-water mark).
-type minHeap[T ordered[T]] struct {
-	items []T
-}
+// set's high-water mark). The heap is its backing array, so an FTL state
+// stores and restores it verbatim and pops in exactly the original order.
+type minHeap[T ordered[T]] []T
 
 // Len returns the number of elements.
-func (h *minHeap[T]) Len() int { return len(h.items) }
+func (h *minHeap[T]) Len() int { return len(*h) }
 
 // Push adds x, restoring the heap invariant.
 //
 //uflint:hotpath
 func (h *minHeap[T]) Push(x T) {
-	h.items = append(h.items, x)
-	i := len(h.items) - 1
+	*h = append(*h, x)
+	items := *h
+	i := len(items) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.items[i].before(h.items[parent]) {
+		if !items[i].before(items[parent]) {
 			break
 		}
-		h.items[i], h.items[parent] = h.items[parent], h.items[i]
+		items[i], items[parent] = items[parent], items[i]
 		i = parent
 	}
 }
@@ -37,12 +39,13 @@ func (h *minHeap[T]) Push(x T) {
 //
 //uflint:hotpath
 func (h *minHeap[T]) Pop() T {
-	n := len(h.items) - 1
-	h.items[0], h.items[n] = h.items[n], h.items[0]
-	x := h.items[n]
+	items := *h
+	n := len(items) - 1
+	items[0], items[n] = items[n], items[0]
+	x := items[n]
 	var zero T
-	h.items[n] = zero
-	h.items = h.items[:n]
+	items[n] = zero
+	*h = items[:n]
 	// Sift the promoted element down.
 	i := 0
 	for {
@@ -51,125 +54,126 @@ func (h *minHeap[T]) Pop() T {
 			break
 		}
 		m := l
-		if r := l + 1; r < n && h.items[r].before(h.items[l]) {
+		if r := l + 1; r < n && items[r].before(items[l]) {
 			m = r
 		}
-		if !h.items[m].before(h.items[i]) {
+		if !items[m].before(items[i]) {
 			break
 		}
-		h.items[i], h.items[m] = h.items[m], h.items[i]
+		items[i], items[m] = items[m], items[i]
 		i = m
 	}
 	return x
 }
 
-// clone returns an independent copy of the heap.
-func (h *minHeap[T]) clone() *minHeap[T] {
-	return &minHeap[T]{items: append([]T(nil), h.items...)}
-}
-
-// freeBlock is an entry in the pre-erased pool, ordered by erase count so
+// FreeBlock is an entry in the pre-erased pool, ordered by erase count so
 // allocation doubles as dynamic wear leveling (the least-worn free block is
 // always handed out first).
-type freeBlock struct {
-	block      int
-	eraseCount int
+type FreeBlock struct {
+	Block      int
+	EraseCount int
 }
 
-func (a freeBlock) before(b freeBlock) bool {
-	if a.eraseCount != b.eraseCount {
-		return a.eraseCount < b.eraseCount
+func (a FreeBlock) before(b FreeBlock) bool {
+	if a.EraseCount != b.EraseCount {
+		return a.EraseCount < b.EraseCount
 	}
-	return a.block < b.block
+	return a.Block < b.Block
 }
 
-type freeHeap = minHeap[freeBlock]
-
-// victimBlock is a garbage-collection candidate, ordered by live unit count
+// VictimBlock is a garbage-collection candidate, ordered by live unit count
 // (greedy policy) with erase count as tie-break (wear-aware victim choice).
 // The heap is lazy: counts may be stale and are re-validated on pop, and a
 // generation number guards against ghost entries from a block's previous
 // life (a block can be closed, collected, erased, reallocated and closed
 // again while an old entry still sits in the heap).
-type victimBlock struct {
-	block      int
-	live       int
-	eraseCount int
-	gen        int32
+type VictimBlock struct {
+	Block      int
+	Live       int
+	EraseCount int
+	Gen        int32
 }
 
-func (a victimBlock) before(b victimBlock) bool {
-	if a.live != b.live {
-		return a.live < b.live
+func (a VictimBlock) before(b VictimBlock) bool {
+	if a.Live != b.Live {
+		return a.Live < b.Live
 	}
-	if a.eraseCount != b.eraseCount {
-		return a.eraseCount < b.eraseCount
+	if a.EraseCount != b.EraseCount {
+		return a.EraseCount < b.EraseCount
 	}
-	return a.block < b.block
+	return a.Block < b.Block
 }
 
-type victimHeap = minHeap[victimBlock]
-
-// mapBook models the on-flash direct map of Section 2.2: each map page
-// covers unitsPerPage consecutive mapping entries; dirty map pages are
-// buffered in controller RAM up to limit, then flushed to flash. Scattered
-// writes touch many distinct map pages and therefore flush often, while
-// focused writes amortize their bookkeeping — the mechanism behind the extra
-// cost of large-increment ordered patterns.
+// MapBookState is the mutable state of the on-flash direct map of Section
+// 2.2: each map page covers a run of consecutive mapping entries; dirty map
+// pages are buffered in controller RAM up to a limit, then flushed to flash.
+// Scattered writes touch many distinct map pages and therefore flush often,
+// while focused writes amortize their bookkeeping — the mechanism behind the
+// extra cost of large-increment ordered patterns.
 //
 // The FIFO of dirty pages lives in a fixed ring (at most limit+1 pages are
 // ever dirty), so steady-state touches never allocate.
+type MapBookState struct {
+	Order        []int64 // ring buffer of dirty map pages, FIFO
+	Head, Queued int
+	LastFlushed  int64
+}
+
+func (s *MapBookState) clone() MapBookState {
+	g := *s
+	g.Order = append([]int64(nil), s.Order...)
+	return g
+}
+
+// mapBook is the configuration and derived index of a MapBookState: the set
+// of dirty pages, which is exactly the queued window of the ring.
 type mapBook struct {
 	unitsPerPage int64              //uflint:shared — derived from the geometry
 	limit        int                //uflint:shared — immutable config
-	dirty        map[int64]struct{} //uflint:scratch — Snapshot carries the ring; Restore rebuilds the set from it
-	order        []int64            // ring buffer of dirty map pages, FIFO
-	head, queued int
-	lastFlushed  int64
+	dirty        map[int64]struct{} // the ring's queued window, as a set
 }
 
-func newMapBook(unitsPerPage int64, limit int) mapBook {
+func newMapBook(unitsPerPage int64, limit int) (mapBook, MapBookState) {
 	if unitsPerPage < 1 {
 		unitsPerPage = 1
 	}
 	if limit < 1 {
 		limit = 1
 	}
-	return mapBook{
+	b := mapBook{
 		unitsPerPage: unitsPerPage,
 		limit:        limit,
 		dirty:        make(map[int64]struct{}, limit+1),
-		order:        make([]int64, limit+1),
-		lastFlushed:  -2,
 	}
+	return b, MapBookState{Order: make([]int64, limit+1), LastFlushed: -2}
 }
 
-// touch records that the map entry for unit changed, charging a flush to ops
-// when the dirty budget is exceeded. Flushing map pages in address order is
-// itself a sequential write and stays cheap (one page program); it is the
-// scattered map-page flushes — random or strided data writes hopping between
-// map pages — that pay the full bookkeeping-block cycle.
+// touch records in s that the map entry for unit changed, charging a flush
+// to ops when the dirty budget is exceeded. Flushing map pages in address
+// order is itself a sequential write and stays cheap (one page program); it
+// is the scattered map-page flushes — random or strided data writes hopping
+// between map pages — that pay the full bookkeeping-block cycle.
 //
 //uflint:hotpath
-func (b *mapBook) touch(unit int64, ops *Ops) {
+func (b *mapBook) touch(s *MapBookState, unit int64, ops *Ops) {
 	page := unit / b.unitsPerPage
 	if _, ok := b.dirty[page]; ok {
 		return
 	}
 	b.dirty[page] = struct{}{}
-	b.order[(b.head+b.queued)%len(b.order)] = page
-	b.queued++
+	s.Order[(s.Head+s.Queued)%len(s.Order)] = page
+	s.Queued++
 	if len(b.dirty) > b.limit {
-		victim := b.order[b.head]
-		b.head = (b.head + 1) % len(b.order)
-		b.queued--
+		victim := s.Order[s.Head]
+		s.Head = (s.Head + 1) % len(s.Order)
+		s.Queued--
 		delete(b.dirty, victim)
-		if victim == b.lastFlushed+1 || victim == b.lastFlushed {
+		if victim == s.LastFlushed+1 || victim == s.LastFlushed {
 			ops.SeqMapFlushes++
 		} else {
 			ops.MapFlushes++
 		}
-		b.lastFlushed = victim
+		s.LastFlushed = victim
 	}
 }
 
@@ -183,6 +187,27 @@ func (b *mapBook) clone() mapBook {
 	for k := range b.dirty {
 		g.dirty[k] = struct{}{}
 	}
-	g.order = append([]int64(nil), b.order...)
 	return g
+}
+
+// restore validates a ring read from outside against the book's limit and
+// rebuilds the dirty set from its queued window.
+func (b *mapBook) restore(s MapBookState) error {
+	switch {
+	case len(s.Order) != b.limit+1:
+		return fmt.Errorf("ftl: map book ring size %d does not match %d", len(s.Order), b.limit+1)
+	case s.Queued < 0 || s.Queued > len(s.Order):
+		return fmt.Errorf("ftl: map book queues %d pages in a ring of %d", s.Queued, len(s.Order))
+	case s.Head < 0 || s.Head >= len(s.Order):
+		return fmt.Errorf("ftl: map book head %d out of range", s.Head)
+	}
+	dirty := make(map[int64]struct{}, b.limit+1)
+	for i := 0; i < s.Queued; i++ {
+		dirty[s.Order[(s.Head+i)%len(s.Order)]] = struct{}{}
+	}
+	if len(dirty) != s.Queued {
+		return fmt.Errorf("ftl: map book state inconsistent (%d dirty, %d queued)", len(dirty), s.Queued)
+	}
+	b.dirty = dirty
+	return nil
 }

@@ -10,7 +10,11 @@ import (
 // time: for every struct type with a Clone/Snapshot/Restore method (any
 // case), each field of the struct must be referenced somewhere in that
 // method's body, or carry an //uflint:shared or //uflint:scratch annotation.
-// A whole-struct copy (`*recv` in the body) references every field at once.
+// A whole-struct copy (`*recv` in the body) copies every field at once, but
+// it only vouches for fields of value type: a field holding a slice, map,
+// pointer, interface, channel or function — directly or inside a struct or
+// array — would be shared between the copy and the original, so it must
+// still be referenced (deep-copied) explicitly or annotated.
 //
 // The differential clone-vs-rebuild oracles from PRs 3/5/8 catch a missed
 // field only when a test drives state through it; this check fires the
@@ -18,7 +22,8 @@ import (
 var CloneGuard = &Analyzer{
 	Name: "cloneguard",
 	Doc: `every field of a struct with a Clone/Snapshot/Restore method must be
-referenced in that method or annotated //uflint:shared or //uflint:scratch`,
+referenced in that method or annotated //uflint:shared or //uflint:scratch;
+a whole-struct copy covers only the fields of value type`,
 	Run: runCloneGuard,
 }
 
@@ -97,16 +102,43 @@ func checkCloneMethod(pass *Pass, fd *ast.FuncDecl, recv *types.Var, st *types.S
 		}
 		return true
 	})
-	if wholeCopy {
-		return
-	}
 	for i := 0; i < st.NumFields(); i++ {
 		fld := st.Field(i)
 		if referenced[int(fld.Pos())] || pass.fieldExempt(fld.Pos()) {
 			continue
 		}
-		pass.Reportf(fld.Pos(), "clonefield",
-			"field %s is not referenced in (%s).%s; clone it there or annotate it //uflint:shared or //uflint:scratch",
-			fld.Name(), types.TypeString(recv.Type(), types.RelativeTo(pass.Pkg.Types)), fd.Name.Name)
+		recvName := types.TypeString(recv.Type(), types.RelativeTo(pass.Pkg.Types))
+		switch {
+		case !wholeCopy:
+			pass.Reportf(fld.Pos(), "clonefield",
+				"field %s is not referenced in (%s).%s; clone it there or annotate it //uflint:shared or //uflint:scratch",
+				fld.Name(), recvName, fd.Name.Name)
+		case sharesMemory(fld.Type()):
+			pass.Reportf(fld.Pos(), "clonefield",
+				"field %s shares memory through the whole-struct copy in (%s).%s; deep-copy it there or annotate it //uflint:shared or //uflint:scratch",
+				fld.Name(), recvName, fd.Name.Name)
+		}
+	}
+}
+
+// sharesMemory reports whether copying a value of type t leaves the copy
+// aliasing the original: t is, or holds in a struct field or array element,
+// a slice, map, pointer, interface, channel or function. Cycles can only
+// run through those kinds, so the recursion terminates.
+func sharesMemory(t types.Type) bool {
+	switch u := t.Underlying().(type) {
+	case *types.Basic:
+		return false
+	case *types.Array:
+		return sharesMemory(u.Elem())
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			if sharesMemory(u.Field(i).Type()) {
+				return true
+			}
+		}
+		return false
+	default:
+		return true
 	}
 }

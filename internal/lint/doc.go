@@ -9,7 +9,8 @@
 //     effects — the compile-time face of "byte-identical at any -parallel".
 //   - cloneguard: every field of a struct with a Clone/Snapshot/Restore
 //     method must be referenced in that method or annotated
-//     //uflint:shared or //uflint:scratch.
+//     //uflint:shared or //uflint:scratch; a whole-struct copy covers only
+//     the fields of value type.
 //   - batchcontract: SubmitBatch/SubmitBatchRetry errors must be handled,
 //     and *device.BatchError extracted with errors.As, never a type
 //     assertion.

@@ -13,6 +13,8 @@ package paperexp
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 	"time"
 
@@ -52,10 +54,16 @@ func TestFaultyZeroRatePlanDifferential(t *testing.T) {
 	}
 }
 
+// armedPlanCSVSHA256 pins the summary CSV of the armed plan below. The plan
+// includes the Parallelism micro-benchmark, so the pin covers the faults,
+// retries and response times of ExecuteParallel's retry path as well as the
+// batch executors'.
+const armedPlanCSVSHA256 = "f1dc960cba70005ee0d3521f4e0a65e90e8bb0b52d12a22664b3833f4989caee"
+
 // TestFaultyArmedPlanDeterministic: an armed schedule over the full plan is a
 // pure function of (spec, seed) — the summary CSV, fault and retry counts
-// included, is byte-identical at any worker count, and the schedule actually
-// fires.
+// included, is byte-identical at any worker count and to the pinned digest,
+// and the schedule actually fires.
 func TestFaultyArmedPlanDeterministic(t *testing.T) {
 	const spec = "faulty(memoright,readerr=2e-3,writeerr=2e-3,spike=200us@0.05,stall=100us@0.05,seed=7)"
 	cfg := cacheTestConfig(t, false)
@@ -73,6 +81,9 @@ func TestFaultyArmedPlanDeterministic(t *testing.T) {
 	want := csv(1)
 	if got := csv(4); !bytes.Equal(got, want) {
 		t.Error("armed plan CSV differs between 1 and 4 workers")
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(want)); got != armedPlanCSVSHA256 {
+		t.Errorf("armed plan CSV sha256 %s, pinned %s", got, armedPlanCSVSHA256)
 	}
 	recs, err := trace.ReadSummaryCSV(bytes.NewReader(want))
 	if err != nil {

@@ -1095,16 +1095,8 @@ func (s *Server) executeWorkload(ctx context.Context, j *job) error {
 		if len(label) > 12 {
 			label = label[:12]
 		}
-		if h.Info.Format == workload.TraceFormatUTR {
-			if src, err = workload.NewUTRSource(h, h.Size, label); err != nil {
-				return err
-			}
-		} else {
-			ops, err := workload.ReadTrace(io.NewSectionReader(h, 0, h.Size))
-			if err != nil {
-				return err
-			}
-			src = workload.OpsSource(workload.Trace{Label: label}.Name(), ops)
+		if src, err = workload.OpenTraceSource(h, h.Size, label); err != nil {
+			return err
 		}
 	} else {
 		gen, err := req.Workload.Spec.Build()

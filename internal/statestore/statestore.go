@@ -1,12 +1,18 @@
 // Package statestore persists enforced device states. Section 4.1 of the
 // paper makes a well-defined initial state the price of admission — a full
 // random fill took 5 hours to 35 days on the real devices — and the
-// simulated equivalent still dominates every run. The engine's snapshot
-// master (PR 3) amortizes enforcement within one process; this store
+// simulated equivalent still dominates every run. The engine's clone
+// master amortizes enforcement within one process; this store
 // amortizes it across processes: the first run of a (device spec, capacity,
 // seed, enforcement kind) combination saves the enforced state to disk, and
 // every later run — CLI invocation or server job — loads it back instead of
 // replaying the fill, with results byte-identical to enforcing live.
+//
+// The payload is the device's state tree (device.State): the same
+// plain-data state structs every layer's Clone deep-copies, so the store
+// has no serialization code of its own beyond gob. Loading hands the tree
+// to device.RestoreDevice, which validates every layer's shape against the
+// freshly built device before adopting it.
 //
 // States are content-addressed: the file name is a SHA-256 over the
 // canonical key, so distinct configurations never collide and a key change
@@ -118,9 +124,13 @@ func (s *Store) LockKey(k Key) func() {
 
 // File format: header + gob payload. The header is fixed-size and binary so
 // truncation and corruption are detected before the payload is decoded.
+//
+// Version 2 encodes the device.State tree, the same plain-data state every
+// layer's Clone copies; a version-1 file (the mirror snapshot types it
+// replaced) is quarantined like any other unreadable state and re-enforced.
 const (
 	magic   = "uFLIPst\x01"
-	version = uint32(1)
+	version = uint32(2)
 )
 
 var crcTable = crc64.MakeTable(crc64.ECMA)
@@ -131,7 +141,7 @@ type saved struct {
 	// At is the virtual time state enforcement finished.
 	At time.Duration
 	// Dev is the device's complete mutable state.
-	Dev *device.DeviceSnapshot
+	Dev *device.State
 }
 
 // Save persists the device's state for the key, atomically (write to a

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -63,9 +64,48 @@ func driveBoth(t *testing.T, a, b device.Device, seed int64) {
 	}
 }
 
+// advanceSchedule drives reads through a fault-injecting device until its
+// schedule has injected a read error, so a saved state carries a non-zero op
+// index and injection counts. Other devices are left alone.
+func advanceSchedule(t *testing.T, dev device.Device, at time.Duration) time.Duration {
+	t.Helper()
+	f, ok := dev.(*device.FaultyDevice)
+	if !ok {
+		return at
+	}
+	for i := int64(0); f.Injections().ReadErrs == 0; i++ {
+		if i == 100000 {
+			t.Fatal("fault schedule injected no read error")
+		}
+		io := device.IO{Mode: device.Read, Off: i % 64 * 4096, Size: 4096}
+		if done, err := f.Submit(at, io); err == nil {
+			at = done
+		}
+	}
+	return at
+}
+
+// requireSameState fails unless both devices have exactly the same state
+// tree.
+func requireSameState(t *testing.T, what string, got, want device.Device) {
+	t.Helper()
+	gs, err := device.SnapshotDevice(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, err := device.SnapshotDevice(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gs, ws) {
+		t.Fatalf("%s: state tree differs from the live device's", what)
+	}
+}
+
 // TestSaveLoadRoundTrip covers every translation design in the profile set
-// plus a composite array: a loaded state must be indistinguishable from the
-// live enforced device under any subsequent IO sequence.
+// plus a composite array and a fault-injecting wrapper: a loaded state must
+// equal the live enforced device's state tree exactly, as must a clone's,
+// and be indistinguishable from it under any subsequent IO sequence.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	specs := []string{
 		"memoright",       // page FTL + RAM write cache, write-back
@@ -74,6 +114,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		"transcend-mlc32", // block FTL + flash-backed cache
 		"stripe(2,mtron,mtron)",
 		"mirror(2,kingston-dti,kingston-dti)",
+		"faulty(mtron,readerr=1e-3,seed=7)", // schedule advanced before Save
 	}
 	for _, spec := range specs {
 		t.Run(spec, func(t *testing.T) {
@@ -82,6 +123,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			live, at := enforcedDevice(t, spec)
+			at = advanceSchedule(t, live, at)
 			if err := store.Save(key(spec), live, at); err != nil {
 				t.Fatal(err)
 			}
@@ -99,6 +141,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			if gotAt != at {
 				t.Fatalf("loaded at=%v, want %v", gotAt, at)
 			}
+			requireSameState(t, "loaded", fresh, live)
+			requireSameState(t, "clone", live.CloneDevice(), live)
 			driveBoth(t, live, fresh, 7)
 		})
 	}
@@ -297,6 +341,57 @@ func TestQuarantineRecoversByteIdentical(t *testing.T) {
 	}
 	cold2, _ := enforcedDevice(t, "memoright")
 	driveBoth(t, cold2, reloaded, 13)
+}
+
+// TestVersion1FileReenforced: a state file written in format version 1 (the
+// mirror-snapshot encoding) is quarantined once, like any unreadable state;
+// the live re-enforcement that follows is byte-identical to a cold run, and
+// the re-saved file serves later loads.
+func TestVersion1FileReenforced(t *testing.T) {
+	const spec = "kingston-dti"
+	store, err := statestore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := key(spec)
+	v1, err := os.ReadFile(filepath.Join("testdata", "v1-kingston-dti.state"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(store.Path(k), v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recovered, err := profile.BuildDevice(spec, testCapacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, hit, err := store.Load(k, recovered); err != nil || hit {
+		t.Fatalf("version-1 load: hit=%v err=%v, want quarantined miss", hit, err)
+	}
+	if moved, err := os.ReadFile(store.Path(k) + ".corrupt"); err != nil || !bytes.Equal(moved, v1) {
+		t.Fatalf("version-1 file not quarantined verbatim (err=%v)", err)
+	}
+	recAt, err := methodology.EnforceRandomState(recovered, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Save(k, recovered, recAt); err != nil {
+		t.Fatal(err)
+	}
+	cold, coldAt := enforcedDevice(t, spec)
+	if recAt != coldAt {
+		t.Fatalf("re-enforcement finished at %v, cold run at %v", recAt, coldAt)
+	}
+	requireSameState(t, "re-enforced", recovered, cold)
+	reloaded, err := profile.BuildDevice(spec, testCapacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, hit, err := store.Load(k, reloaded); err != nil || !hit {
+		t.Fatalf("re-saved state: hit=%v err=%v, want clean hit", hit, err)
+	}
+	requireSameState(t, "reloaded", reloaded, cold)
+	driveBoth(t, cold, reloaded, 17)
 }
 
 // TestRestoreIntoWrongDeviceFails: a valid file must refuse to restore into

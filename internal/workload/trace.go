@@ -2,7 +2,6 @@ package workload
 
 import (
 	"encoding/csv"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -249,21 +248,6 @@ func SniffTraceFormat(head []byte) string {
 		return TraceFormatUTR
 	}
 	return TraceFormatCSV
-}
-
-// SniffTraceFile classifies a trace file by content, not extension.
-func SniffTraceFile(path string) (string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", fmt.Errorf("workload: %w", err)
-	}
-	defer f.Close()
-	head := make([]byte, len(trace.UTRMagic))
-	n, err := io.ReadFull(f, head)
-	if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
-		return "", fmt.Errorf("workload: %w", err)
-	}
-	return SniffTraceFormat(head[:n]), nil
 }
 
 // Trace adapts a parsed op stream to the Generator interface so replayed

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -140,6 +141,27 @@ func NewUTRSource(ra io.ReaderAt, size int64, label string) (*UTRSource, error) 
 		return nil, err
 	}
 	return &UTRSource{ra: ra, count: count, label: label}, nil
+}
+
+// OpenTraceSource returns a replay source over the trace stored in ra (size
+// bytes long) in either on-disk format, sniffed from the content: a .utr
+// trace streams from ra segment by segment (O(segment) memory), a CSV trace
+// is parsed up front. Both replay to byte-identical results. label names the
+// trace in reports.
+func OpenTraceSource(ra io.ReaderAt, size int64, label string) (Source, error) {
+	head := make([]byte, len(trace.UTRMagic))
+	n, err := io.NewSectionReader(ra, 0, size).ReadAt(head, 0)
+	if err != nil && !errors.Is(err, io.EOF) {
+		return nil, fmt.Errorf("workload: %w", err)
+	}
+	if SniffTraceFormat(head[:n]) == TraceFormatUTR {
+		return NewUTRSource(ra, size, label)
+	}
+	ops, err := ReadTrace(io.NewSectionReader(ra, 0, size))
+	if err != nil {
+		return nil, err
+	}
+	return OpsSource(Trace{Label: label}.Name(), ops), nil
 }
 
 // OpenUTRFile opens and validates a .utr file as a replay source. The file

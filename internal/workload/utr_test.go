@@ -189,6 +189,42 @@ func TestUTRSourceSegments(t *testing.T) {
 	}
 }
 
+// TestOpenTraceSourceFormats: OpenTraceSource sniffs either on-disk format
+// from the content and yields the same named op stream, and a corrupt .utr
+// trace is refused at open.
+func TestOpenTraceSourceFormats(t *testing.T) {
+	ops := randomTraceOps(t, 500, 9)
+	var csvBuf, utrBuf bytes.Buffer
+	if err := workload.WriteTrace(&csvBuf, ops); err != nil {
+		t.Fatal(err)
+	}
+	if err := workload.WriteUTR(&utrBuf, ops); err != nil {
+		t.Fatal(err)
+	}
+	want := (workload.Trace{Label: "fmt"}).Name()
+	for name, body := range map[string][]byte{"csv": csvBuf.Bytes(), "utr": utrBuf.Bytes()} {
+		src, err := workload.OpenTraceSource(bytes.NewReader(body), int64(len(body)), "fmt")
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if src.Name() != want || src.Len() != len(ops) {
+			t.Fatalf("%s: source %q with %d ops, want %q with %d", name, src.Name(), src.Len(), want, len(ops))
+		}
+		got, err := src.Segment(0, len(ops))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, ops) {
+			t.Fatalf("%s: ops differ from the stream written", name)
+		}
+	}
+	bad := append([]byte(nil), utrBuf.Bytes()...)
+	bad[len(bad)-1] ^= 0xFF
+	if _, err := workload.OpenTraceSource(bytes.NewReader(bad), int64(len(bad)), "fmt"); err == nil {
+		t.Fatal("corrupt utr trace accepted")
+	}
+}
+
 // TestReplayUTRMatchesCSV is the tentpole equivalence pin: replaying a
 // stream from its .utr file (streaming segments) produces a Result deeply
 // equal to replaying the materialized ops, at 1 and 4 workers.
