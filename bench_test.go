@@ -617,6 +617,45 @@ func BenchmarkReplayParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkCloneDevice measures the per-shard device copy of the engine's
+// master factory at 1 GiB, for a page-mapped stack behind a write cache
+// (memoright) and a block-mapped one (kingston-dti): "fresh" allocates a new
+// deep copy of the enforced master, as a worker's first shard does; "recycle"
+// writes the master over a clone that has been driven away from it, as every
+// later shard on that worker does. Compare ns/op, B/op and allocs/op across
+// the pair.
+func BenchmarkCloneDevice(b *testing.B) {
+	cfg := benchCfg()
+	cfg.Capacity = 1 << 30
+	for _, key := range []string{"memoright", "kingston-dti"} {
+		master, at, _, err := paperexp.PrepareCached(key, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(key+"/fresh", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				master.CloneDevice()
+			}
+		})
+		b.Run(key+"/recycle", func(b *testing.B) {
+			dst := master.CloneDevice()
+			for i := int64(0); i < 2048; i++ { // dirty the clone: cache, GC, map book
+				done, err := dst.Submit(at, device.IO{Mode: device.Write, Off: (i * 7919 % 8192) * 64 * 1024, Size: 16 * 1024})
+				if err != nil {
+					b.Fatal(err)
+				}
+				at = done
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dst = device.CloneInto(master, dst)
+			}
+		})
+	}
+}
+
 // BenchmarkTraceScan measures binary .utr trace decoding: one iteration
 // scans a 256k-record stream through trace.Scanner (header check, per-record
 // validation, running CRC), the exact path server ingest and streaming

@@ -31,8 +31,10 @@
 // translation layer and the simulated device itself expose deep Clone()
 // — so the engine enforces the paper's well-defined device state
 // (Section 4.1) once per (profile, capacity, seed) master and hands every
-// shard a clone instead of replaying the enforcement IOs; tests pin the
-// clone path byte-identical to rebuilding per shard. The hot path is
+// shard a copy of it instead of replaying the enforcement IOs — written
+// over the device the worker's previous shard finished with, so a worker
+// recycles one device instead of allocating one per shard; tests pin the
+// copy path byte-identical to rebuilding per shard. The hot path is
 // allocation-free in steady state (generic zero-boxing heaps replace
 // container/heap, map bookkeeping runs on a fixed ring, both
 // SimDevice.Submit and the 128-IO SubmitBatch are pinned at 0 allocs/op),

@@ -107,10 +107,11 @@ func (q *MemberQueue) push(done time.Duration) {
 	}
 }
 
-func (q *MemberQueue) clone() MemberQueue {
-	g := *q
-	g.Ring = append([]time.Duration(nil), q.Ring...)
-	return g
+// cloneInto overwrites dst with a deep copy of q, reusing dst's ring.
+func (q *MemberQueue) cloneInto(dst *MemberQueue) {
+	ring := dst.Ring
+	*dst = *q
+	dst.Ring = append(ring[:0], q.Ring...)
 }
 
 // CompositeState is the mutable state of a composite array's own layer, as
@@ -131,14 +132,19 @@ type CompositeState struct {
 	IOs int64
 }
 
-func (s *CompositeState) clone() CompositeState {
-	g := *s
-	g.Queues = make([]MemberQueue, len(s.Queues))
-	for i := range s.Queues {
-		g.Queues[i] = s.Queues[i].clone()
+// cloneInto overwrites dst with a deep copy of s, reusing dst's queues and
+// marks; a zero dst allocates.
+func (s *CompositeState) cloneInto(dst *CompositeState) {
+	old := *dst
+	*dst = *s
+	dst.Queues = old.Queues
+	if len(dst.Queues) != len(s.Queues) {
+		dst.Queues = make([]MemberQueue, len(s.Queues))
 	}
-	g.Dead = append([]bool(nil), s.Dead...)
-	return g
+	for i := range s.Queues {
+		s.Queues[i].cloneInto(&dst.Queues[i])
+	}
+	dst.Dead = append(old.Dead[:0], s.Dead...)
 }
 
 // CompositeDevice fans IOs out over N member devices according to a layout,
@@ -288,23 +294,38 @@ func (d *CompositeDevice) DegradedWrites() int64 { return d.st.Degraded }
 // queue rings, the dispatch clock and the scheduling cursor. It panics if a
 // member does not implement device.Cloneable (composites built from
 // simulator profiles always do).
-func (d *CompositeDevice) Clone() *CompositeDevice {
-	g := *d
-	g.members = make([]Device, len(d.members))
+func (d *CompositeDevice) Clone() *CompositeDevice { return d.cloneInto(nil) }
+
+// CloneDevice implements device.Cloneable.
+func (d *CompositeDevice) CloneDevice() Device { return d.cloneInto(nil) }
+
+// cloneInto overwrites dst with a deep copy of d and returns it, recycling
+// dst's members when it has as many; a nil dst allocates a new array.
+func (d *CompositeDevice) cloneInto(dst *CompositeDevice) *CompositeDevice {
+	if dst == nil {
+		dst = new(CompositeDevice)
+	}
+	old := *dst
+	*dst = *d
+	dst.members = old.members
+	if len(dst.members) != len(d.members) {
+		dst.members = make([]Device, len(d.members))
+	}
 	for i, m := range d.members {
 		c, ok := m.(Cloneable)
 		if !ok {
 			panic(fmt.Sprintf("device: composite member %d (%s) is not cloneable", i, m.Name()))
 		}
-		g.members[i] = c.CloneDevice()
+		dst.members[i] = CloneInto(c, dst.members[i])
 	}
-	g.st = d.st.clone()
-	g.frags = make([]fragment, 0, cap(d.frags))
-	return &g
+	dst.st = old.st
+	d.st.cloneInto(&dst.st)
+	dst.frags = old.frags[:0]
+	if cap(dst.frags) < cap(d.frags) {
+		dst.frags = make([]fragment, 0, cap(d.frags))
+	}
+	return dst
 }
-
-// CloneDevice implements device.Cloneable.
-func (d *CompositeDevice) CloneDevice() Device { return d.Clone() }
 
 // Drain advances past all member background work, returning the time at
 // which the whole array is quiescent. Members without a Drain method

@@ -262,15 +262,23 @@ func (f *FaultyDevice) mediaErr(op int64, io IO) bool {
 // the sticky-dead flag and the injection tallies, so a clone continues the
 // schedule exactly where the original stood. It panics if the wrapped device
 // is not cloneable, like the composite and per-IO wrappers.
-func (f *FaultyDevice) CloneDevice() Device {
+func (f *FaultyDevice) CloneDevice() Device { return f.cloneInto(nil) }
+
+// cloneInto overwrites dst with a deep copy of f and returns it, recycling
+// dst's wrapped device; a nil dst allocates a new wrapper.
+func (f *FaultyDevice) cloneInto(dst *FaultyDevice) *FaultyDevice {
 	c, ok := f.inner.(Cloneable)
 	if !ok {
 		panic(fmt.Sprintf("device: faulty-wrapped device %s is not cloneable", f.inner.Name()))
 	}
-	g := *f
-	g.inner = c.CloneDevice()
-	g.cfg.ErrOps = append([]int64(nil), f.cfg.ErrOps...)
-	return &g
+	if dst == nil {
+		dst = new(FaultyDevice)
+	}
+	old := *dst
+	*dst = *f
+	dst.inner = CloneInto(c, old.inner)
+	dst.cfg.ErrOps = append(old.cfg.ErrOps[:0], f.cfg.ErrOps...)
+	return dst
 }
 
 // Drain forwards to the wrapped device so inter-experiment quiescing sees

@@ -91,14 +91,22 @@ func NewSimDevice(cfg SimConfig, top ftl.Translator, model ftl.CostModel) (*SimD
 // so the clone resumes from exactly the original's virtual-time state.
 // Cloning an enforced device is how the engine gives every shard a private
 // well-defined initial state without replaying the enforcement IOs.
-func (d *SimDevice) Clone() *SimDevice {
-	g := *d
-	g.top = d.top.Clone()
-	return &g
-}
+func (d *SimDevice) Clone() *SimDevice { return d.cloneInto(nil) }
 
 // CloneDevice implements device.Cloneable.
-func (d *SimDevice) CloneDevice() Device { return d.Clone() }
+func (d *SimDevice) CloneDevice() Device { return d.cloneInto(nil) }
+
+// cloneInto overwrites dst with a deep copy of d and returns it, recycling
+// dst's translation stack; a nil dst allocates a new device.
+func (d *SimDevice) cloneInto(dst *SimDevice) *SimDevice {
+	if dst == nil {
+		dst = new(SimDevice)
+	}
+	top := dst.top
+	*dst = *d
+	dst.top = ftl.CloneInto(d.top, top)
+	return dst
+}
 
 // Capacity returns the logical device size.
 func (d *SimDevice) Capacity() int64 { return d.top.Capacity() }

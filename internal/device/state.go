@@ -22,6 +22,27 @@ type State struct {
 	Inner     *State
 }
 
+// CloneInto returns a deep copy of src, recycling dst — a device previously
+// cloned from a source of the same shape, which nothing else uses any more —
+// instead of allocating where the shapes allow. The result is
+// indistinguishable from src.CloneDevice(). Devices of another
+// implementation, and a dst of a different type than src, fall back to
+// src.CloneDevice().
+func CloneInto(src Cloneable, dst Device) Device {
+	switch s := src.(type) {
+	case *SimDevice:
+		d, _ := dst.(*SimDevice)
+		return s.cloneInto(d)
+	case *CompositeDevice:
+		d, _ := dst.(*CompositeDevice)
+		return s.cloneInto(d)
+	case *FaultyDevice:
+		d, _ := dst.(*FaultyDevice)
+		return s.cloneInto(d)
+	}
+	return src.CloneDevice()
+}
+
 // SnapshotDevice returns a deep copy of the state of a simulated device,
 // composite array or fault-injecting wrapper. Devices without full
 // in-memory state (files, real block devices) cannot be snapshotted and
@@ -44,7 +65,8 @@ func SnapshotDevice(d Device) (*State, error) {
 			}
 			members[i] = ms
 		}
-		s := dev.st.clone()
+		var s CompositeState
+		dev.st.cloneInto(&s)
 		return &State{Composite: &s, Members: members}, nil
 	case *FaultyDevice:
 		inner, err := SnapshotDevice(dev.inner)

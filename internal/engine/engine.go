@@ -4,11 +4,15 @@
 // and runs are separated by pauses (or full state resets) precisely so they
 // do not interfere. The engine exploits that independence: it partitions a
 // methodology.Plan into deterministic shards, gives every shard its own
-// freshly built simulated device (so runs never share mutable FTL state) and
-// its own derived RNG seed, executes the shards across a bounded worker
-// pool, and merges the per-run results ordered by the run's index in the
-// plan — never by completion time — so the merged output is byte-identical
-// for any worker count.
+// private device in a well-defined initial state (so runs never share
+// mutable FTL state) and its own derived RNG seed, executes the shards
+// across a bounded worker pool, and merges the per-run results ordered by
+// the run's index in the plan — never by completion time — so the merged
+// output is byte-identical for any worker count. A shard's device comes from
+// a DeviceFactory: rebuilt and re-enforced, or copied from one enforced
+// master — in which case a worker's finished device is recycled as the
+// storage for its next shard's copy (Shard.Reuse) instead of allocating a
+// new deep copy per shard.
 package engine
 
 import (
@@ -41,6 +45,12 @@ type Shard struct {
 	Exps []core.Experiment
 	// FirstRun is the global run index of Exps[0] within the plan.
 	FirstRun int
+	// Reuse is the device this worker's previous shard ran on, which the
+	// engine no longer touches, or nil for the worker's first shard. A
+	// factory may overwrite it in place (device.CloneInto) instead of
+	// allocating a new device; ignoring it is always correct. Reuse is a
+	// memory hint only: it never changes a result.
+	Reuse device.Device
 }
 
 // DeviceFactory builds the private device a shard runs against and returns
@@ -164,26 +174,26 @@ func ExecutePlan(ctx context.Context, plan methodology.Plan, factory DeviceFacto
 	ends := make([]time.Duration, len(shards))
 	observe := opts.observer(total)
 
-	runShard := func(ctx context.Context, s Shard) error {
+	runShard := func(ctx context.Context, s Shard) (device.Device, error) {
 		dev, at, err := factory(s)
 		if err != nil {
-			return fmt.Errorf("engine: shard %d: %w", s.Index, err)
+			return nil, fmt.Errorf("engine: shard %d: %w", s.Index, err)
 		}
 		t := at
 		for i := range s.Exps {
 			if err := ctx.Err(); err != nil {
-				return err
+				return nil, err
 			}
 			res, end, err := methodology.RunExperiments(dev, s.Exps[i:i+1], plan.Pause, t)
 			if err != nil {
-				return fmt.Errorf("engine: shard %d: %w", s.Index, err)
+				return nil, fmt.Errorf("engine: shard %d: %w", s.Index, err)
 			}
 			merged[s.FirstRun+i] = res[0]
 			t = end
 			observe(res[0].Exp.ID())
 		}
 		ends[s.Index] = t
-		return nil
+		return dev, nil
 	}
 
 	if err := executeShards(ctx, shards, opts.workers(), runShard); err != nil {
@@ -220,20 +230,28 @@ func (o Options) observer(total int) func(id string) {
 	}
 }
 
+// shardFunc runs one shard and returns the device it ran on, which becomes
+// the next shard's Reuse on the same worker (nil on error).
+type shardFunc func(context.Context, Shard) (device.Device, error)
+
 // executeShards runs the shards inline in partition order when workers == 1
 // (the sequential fallback: same shards, same seeds, same per-shard devices)
 // and through the bounded pool otherwise. Shared by plan execution and the
-// stream-job executor so pool, cancellation and progress semantics cannot
-// diverge.
-func executeShards(ctx context.Context, shards []Shard, workers int, run func(context.Context, Shard) error) error {
+// stream-job executor so pool, cancellation, progress and device-recycling
+// semantics cannot diverge.
+func executeShards(ctx context.Context, shards []Shard, workers int, run shardFunc) error {
 	if workers == 1 {
+		var prev device.Device
 		for _, s := range shards {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := run(ctx, s); err != nil {
+			s.Reuse = prev
+			dev, err := run(ctx, s)
+			if err != nil {
 				return err
 			}
+			prev = dev
 		}
 		return nil
 	}
@@ -241,8 +259,9 @@ func executeShards(ctx context.Context, shards []Shard, workers int, run func(co
 }
 
 // runPool dispatches shards to a bounded pool of workers, cancelling the
-// remaining work on the first error.
-func runPool(ctx context.Context, shards []Shard, workers int, run func(context.Context, Shard) error) error {
+// remaining work on the first error. Each worker hands its previous shard's
+// device to its next shard as Reuse.
+func runPool(ctx context.Context, shards []Shard, workers int, run shardFunc) error {
 	if workers > len(shards) {
 		workers = len(shards)
 	}
@@ -266,13 +285,17 @@ func runPool(ctx context.Context, shards []Shard, workers int, run func(context.
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var prev device.Device
 			for s := range jobs {
 				if poolCtx.Err() != nil {
 					continue // drain without running
 				}
-				if err := run(poolCtx, s); err != nil {
+				s.Reuse = prev
+				dev, err := run(poolCtx, s)
+				if err != nil {
 					fail(err)
 				}
+				prev = dev
 			}
 		}()
 	}

@@ -5,9 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
+	"uflip/internal/core"
 	"uflip/internal/device"
 	"uflip/internal/engine"
 	"uflip/internal/methodology"
@@ -121,5 +125,110 @@ func TestMasterPropagatesBuildError(t *testing.T) {
 	}
 	if builds != 1 {
 		t.Fatalf("failing build ran %d times, want 1 (cached)", builds)
+	}
+}
+
+// TestMasterConcurrentCopies runs concurrent factory calls, half of them
+// recycling a device their goroutine already drove away from the master
+// state. Every device handed out must equal a fresh clone of the master;
+// under -race the test also pins that copies read the master without
+// holding its lock safely.
+func TestMasterConcurrentCopies(t *testing.T) {
+	builds := 0
+	m := engine.NewMaster(masterBuild(t, &builds))
+	factory := m.Factory()
+	ref, _, err := m.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := device.SnapshotDevice(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goroutines = 4
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		go func() {
+			errs <- func() error {
+				var prev device.Device
+				for round := 0; round < 3; round++ {
+					dev, at, err := factory(engine.Shard{Index: round, Reuse: prev})
+					if err != nil {
+						return err
+					}
+					if prev != nil && dev != prev {
+						return errors.New("factory did not recycle the offered device")
+					}
+					got, err := device.SnapshotDevice(dev)
+					if err != nil {
+						return err
+					}
+					if !reflect.DeepEqual(got, want) {
+						return fmt.Errorf("round %d: device differs from the master state", round)
+					}
+					for i := int64(0); i < 64; i++ {
+						done, err := dev.Submit(at, device.IO{Mode: device.Write, Off: i * 64 * 1024, Size: 64 * 1024})
+						if err != nil {
+							return err
+						}
+						at = done
+					}
+					prev = dev
+				}
+				return nil
+			}()
+		}()
+	}
+	for g := 0; g < goroutines; g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if builds != 1 {
+		t.Fatalf("master built %d times, want 1", builds)
+	}
+}
+
+// TestEngineHandsWorkersTheirPreviousDevice pins the Reuse contract for plan
+// and job execution alike: a shard's Reuse is nil or the device a shard of
+// the same worker ran on before, so no device is ever offered twice; with
+// one worker it is exactly the previous shard's device.
+func TestEngineHandsWorkersTheirPreviousDevice(t *testing.T) {
+	plan := testPlan(t)
+	jobs := make([]engine.Job, 8)
+	for i := range jobs {
+		jobs[i] = engine.Job{ID: fmt.Sprint(i), Run: func(context.Context, device.Device, time.Duration) (*core.Run, error) {
+			return &core.Run{}, nil
+		}}
+	}
+	for _, workers := range []int{1, 3} {
+		var mu sync.Mutex
+		var handed []device.Device // in factory-call order
+		offered := map[device.Device]bool{}
+		factory := func(s engine.Shard) (device.Device, time.Duration, error) {
+			mu.Lock()
+			defer mu.Unlock()
+			if s.Reuse != nil {
+				if offered[s.Reuse] {
+					t.Errorf("device offered as Reuse twice")
+				}
+				offered[s.Reuse] = true
+				if workers == 1 && s.Reuse != handed[len(handed)-1] {
+					t.Errorf("shard %d: Reuse is not the previous shard's device", s.Index)
+				}
+			}
+			dev := device.NewMemDevice(fmt.Sprint(s.Index), testCapacity, time.Millisecond, time.Millisecond)
+			handed = append(handed, dev)
+			return dev, 0, nil
+		}
+		if _, err := engine.ExecutePlan(context.Background(), plan, factory, engine.Options{Workers: workers}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := engine.ExecuteJobs(context.Background(), jobs, factory, engine.Options{Workers: workers}); err != nil {
+			t.Fatal(err)
+		}
+		if workers == 1 && len(offered) != len(handed)-2 {
+			t.Fatalf("one worker: %d devices recycled of %d, want all but each run's first", len(offered), len(handed))
+		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 
 // Job is one independent unit of stream execution: a self-contained piece of
 // work (a workload segment, a trace slice) run against a private device. The
-// engine gives every job its own device built by the DeviceFactory from a
+// engine gives every job its own device from the DeviceFactory, called with a
 // synthetic shard whose seed derives from (base seed, job index), exactly as
 // plan shards do — so job results are a pure function of the job list and
 // options, never of the worker count.
@@ -27,10 +27,11 @@ type Job struct {
 
 // ExecuteJobs runs every job through the worker pool and returns the runs
 // ordered by job index — never by completion time — so the merged output is
-// byte-identical for any worker count. Each job receives a freshly built
-// device (factory is called with a shard carrying the job's index and
-// derived seed, and no experiments). Cancelling ctx stops execution between
-// jobs and discards partial results.
+// byte-identical for any worker count. Each job receives a private device
+// from the factory, which is called with a shard carrying the job's index,
+// derived seed and no experiments — and, as Reuse, the device the worker's
+// previous job ran on. Cancelling ctx stops execution between jobs and
+// discards partial results.
 func ExecuteJobs(ctx context.Context, jobs []Job, factory DeviceFactory, opts Options) ([]*core.Run, error) {
 	if len(jobs) == 0 {
 		return nil, ctx.Err()
@@ -42,22 +43,22 @@ func ExecuteJobs(ctx context.Context, jobs []Job, factory DeviceFactory, opts Op
 	for i := range jobs {
 		shards[i] = Shard{Index: i, Seed: shardSeed(opts.Seed, i), FirstRun: i}
 	}
-	runShard := func(ctx context.Context, s Shard) error {
+	runShard := func(ctx context.Context, s Shard) (device.Device, error) {
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
 		job := jobs[s.Index]
 		dev, at, err := factory(s)
 		if err != nil {
-			return fmt.Errorf("engine: job %d (%s): %w", s.Index, job.ID, err)
+			return nil, fmt.Errorf("engine: job %d (%s): %w", s.Index, job.ID, err)
 		}
 		run, err := job.Run(ctx, dev, at)
 		if err != nil {
-			return fmt.Errorf("engine: job %d (%s): %w", s.Index, job.ID, err)
+			return nil, fmt.Errorf("engine: job %d (%s): %w", s.Index, job.ID, err)
 		}
 		merged[s.Index] = run
 		observe(job.ID)
-		return nil
+		return dev, nil
 	}
 
 	if err := executeShards(ctx, shards, opts.workers(), runShard); err != nil {

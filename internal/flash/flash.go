@@ -153,6 +153,11 @@ type Stats struct {
 
 // ChipState is the complete mutable state of a chip, as plain data: Clone
 // deep-copies it and the persistent state store encodes it.
+//
+// Page state is derived, not stored: pages are programmed strictly in order
+// and erased a whole block at a time, so page p of block b is programmed
+// exactly when p < Blocks[b].NextPage. (A worn-out erase leaves NextPage
+// as it was, and every operation on the now-bad block fails first.)
 type ChipState struct {
 	// Geometry and Cell never change after construction; they travel with
 	// the state so Restore can refuse the state of a different chip.
@@ -160,11 +165,7 @@ type ChipState struct {
 	Cell     CellType
 
 	Blocks []BlockState
-	// Pages holds every page's state in one flat slice indexed
-	// block*PagesPerBlock+page, so cloning the chip is two bulk copies
-	// instead of one allocation per block.
-	Pages []PageState
-	Stats Stats
+	Stats  Stats
 
 	// CachedBlock/CachedPage track the page currently held in the page
 	// register of each plane; re-reading it skips the cell-array read.
@@ -176,20 +177,29 @@ type ChipState struct {
 	Data map[int64][]byte
 }
 
-// clone returns a deep copy of the state.
-func (s *ChipState) clone() ChipState {
-	g := *s
-	g.Blocks = append([]BlockState(nil), s.Blocks...)
-	g.Pages = append([]PageState(nil), s.Pages...)
-	g.CachedBlock = append([]int(nil), s.CachedBlock...)
-	g.CachedPage = append([]int(nil), s.CachedPage...)
-	if s.Data != nil {
-		g.Data = make(map[int64][]byte, len(s.Data))
-		for k, v := range s.Data {
-			g.Data[k] = append([]byte(nil), v...)
+// cloneInto overwrites dst with a deep copy of s, reusing dst's slices, map
+// and payload buffers; a zero dst allocates.
+func (s *ChipState) cloneInto(dst *ChipState) {
+	blocks, cachedBlock, cachedPage, data := dst.Blocks, dst.CachedBlock, dst.CachedPage, dst.Data
+	*dst = *s
+	dst.Blocks = append(blocks[:0], s.Blocks...)
+	dst.CachedBlock = append(cachedBlock[:0], s.CachedBlock...)
+	dst.CachedPage = append(cachedPage[:0], s.CachedPage...)
+	if s.Data == nil {
+		return
+	}
+	if data == nil {
+		data = make(map[int64][]byte, len(s.Data))
+	}
+	for k := range data {
+		if _, ok := s.Data[k]; !ok {
+			delete(data, k)
 		}
 	}
-	return g
+	for k, v := range s.Data {
+		data[k] = append(data[k][:0], v...)
+	}
+	dst.Data = data
 }
 
 // Chip is one simulated NAND flash chip. It is not safe for concurrent use;
@@ -233,7 +243,6 @@ func NewChip(geo Geometry, cell CellType, opts ...Option) (*Chip, error) {
 			Geometry:    geo,
 			Cell:        cell,
 			Blocks:      make([]BlockState, geo.Blocks),
-			Pages:       make([]PageState, int64(geo.Blocks)*int64(geo.PagesPerBlock)),
 			CachedBlock: make([]int, geo.Planes),
 			CachedPage:  make([]int, geo.Planes),
 		},
@@ -249,15 +258,22 @@ func NewChip(geo Geometry, cell CellType, opts ...Option) (*Chip, error) {
 	return c, nil
 }
 
-// Clone returns a deep copy of the chip: block and page state, wear
-// counters, operation stats, page-register contents and (when payload
-// storage is enabled) the stored data. The clone and the original evolve
+// Clone returns a deep copy of the chip: block state, wear counters,
+// operation stats, page-register contents and (when payload storage is
+// enabled) the stored data. The clone and the original evolve
 // independently; driving both with the same operation sequence yields
 // identical durations, errors and stats.
-func (c *Chip) Clone() *Chip {
-	g := *c
-	g.st = c.st.clone()
-	return &g
+func (c *Chip) Clone() *Chip { return c.CloneInto(nil) }
+
+// CloneInto overwrites dst with a deep copy of c and returns it, reusing
+// dst's memory; a nil dst allocates a new chip.
+func (c *Chip) CloneInto(dst *Chip) *Chip {
+	if dst == nil {
+		dst = new(Chip)
+	}
+	dst.timing, dst.transfer, dst.storeData = c.timing, c.transfer, c.storeData
+	c.st.cloneInto(&dst.st)
+	return dst
 }
 
 // Geometry returns the chip geometry.
@@ -307,7 +323,10 @@ func (c *Chip) PageStateAt(block, page int) (PageState, error) {
 	if err := c.checkAddr(block, page); err != nil {
 		return 0, err
 	}
-	return c.st.Pages[c.pageIndex(block, page)], nil
+	if page < c.st.Blocks[block].NextPage {
+		return PageProgrammed, nil
+	}
+	return PageErased, nil
 }
 
 // NextProgramPage returns the next page index that may be programmed in the
@@ -343,7 +362,7 @@ func (c *Chip) ReadPage(block, page int) (time.Duration, error) {
 	if b.Bad {
 		return 0, ErrBadBlock
 	}
-	if c.st.Pages[c.pageIndex(block, page)] != PageProgrammed {
+	if page >= b.NextPage {
 		return 0, ErrReadErased
 	}
 	c.st.Stats.Reads++
@@ -369,7 +388,7 @@ func (c *Chip) ReadData(block, page int) ([]byte, error) {
 	if err := c.checkAddr(block, page); err != nil {
 		return nil, err
 	}
-	if c.st.Pages[c.pageIndex(block, page)] != PageProgrammed {
+	if page >= c.st.Blocks[block].NextPage {
 		return nil, ErrReadErased
 	}
 	return c.st.Data[c.pageIndex(block, page)], nil
@@ -386,7 +405,7 @@ func (c *Chip) ProgramPage(block, page int, payload []byte) (time.Duration, erro
 	if b.Bad {
 		return 0, ErrBadBlock
 	}
-	if c.st.Pages[c.pageIndex(block, page)] != PageErased {
+	if page < b.NextPage {
 		return 0, ErrNotErased
 	}
 	if page != b.NextPage {
@@ -395,7 +414,6 @@ func (c *Chip) ProgramPage(block, page int, payload []byte) (time.Duration, erro
 	if len(payload) > c.st.Geometry.PageSize {
 		return 0, ErrPayloadTooLong
 	}
-	c.st.Pages[c.pageIndex(block, page)] = PageProgrammed
 	b.NextPage++
 	c.st.Stats.Programs++
 	if c.storeData {
@@ -435,9 +453,7 @@ func (c *Chip) EraseBlock(block int) (time.Duration, error) {
 		b.Bad = true
 		return c.timing.EraseBlock, ErrWornOut
 	}
-	base := c.pageIndex(block, 0)
-	clear(c.st.Pages[base : base+int64(c.st.Geometry.PagesPerBlock)]) // PageErased is the zero state
-	b.NextPage = 0
+	b.NextPage = 0 // every page of the block reads as erased again
 	// Payload buffers are kept (the page state already marks them stale) so
 	// the next program of the page can overwrite them in place.
 	plane := c.st.Geometry.Plane(block)

@@ -3,7 +3,11 @@ package flash
 import "fmt"
 
 // State returns a deep copy of the chip's complete mutable state.
-func (c *Chip) State() ChipState { return c.st.clone() }
+func (c *Chip) State() ChipState {
+	var s ChipState
+	c.st.cloneInto(&s)
+	return s
+}
 
 // Restore adopts s as the chip's state; the chip takes ownership of s. The
 // chip must have been constructed with the state's geometry, cell type and
@@ -18,8 +22,6 @@ func (c *Chip) Restore(s ChipState) error {
 		return fmt.Errorf("flash: state cell type %v does not match chip %v", s.Cell, c.st.Cell)
 	case len(s.Blocks) != len(c.st.Blocks):
 		return fmt.Errorf("flash: state has %d blocks, chip %d", len(s.Blocks), len(c.st.Blocks))
-	case len(s.Pages) != len(c.st.Pages):
-		return fmt.Errorf("flash: state has %d pages, chip %d", len(s.Pages), len(c.st.Pages))
 	case len(s.CachedBlock) != geo.Planes || len(s.CachedPage) != geo.Planes:
 		return fmt.Errorf("flash: state register contents do not match %d planes", geo.Planes)
 	// gob decodes an empty map as nil, so a nil Data is valid for a
@@ -27,6 +29,12 @@ func (c *Chip) Restore(s ChipState) error {
 	// chip cannot hold are a mismatch.
 	case len(s.Data) > 0 && !c.storeData:
 		return fmt.Errorf("flash: state carries payloads but the chip does not store data")
+	}
+	for i, b := range s.Blocks {
+		if b.NextPage < 0 || b.NextPage > geo.PagesPerBlock || b.EraseCount < 0 {
+			return fmt.Errorf("flash: state block %d has next page %d and erase count %d, want 0..%d and >= 0",
+				i, b.NextPage, b.EraseCount, geo.PagesPerBlock)
+		}
 	}
 	switch {
 	case !c.storeData:

@@ -69,12 +69,23 @@ func NewUniformArray(nChips int, cell flash.CellType, capacityBytes int64, opts 
 
 // Clone returns a deep copy of the array: every chip is cloned, so the copy
 // and the original evolve independently.
-func (a *Array) Clone() *Array {
-	chips := make([]*flash.Chip, len(a.chips))
-	for i, c := range a.chips {
-		chips[i] = c.Clone()
+func (a *Array) Clone() *Array { return a.cloneInto(nil) }
+
+// cloneInto overwrites dst with a deep copy of a and returns it, recycling
+// dst's chips when it has as many; a nil dst allocates a new array.
+func (a *Array) cloneInto(dst *Array) *Array {
+	if dst == nil {
+		dst = new(Array)
 	}
-	return &Array{chips: chips, geo: a.geo, blocksPerChip: a.blocksPerChip, totalBlocks: a.totalBlocks}
+	chips := dst.chips
+	if len(chips) != len(a.chips) {
+		chips = make([]*flash.Chip, len(a.chips))
+	}
+	for i, c := range a.chips {
+		chips[i] = c.CloneInto(chips[i])
+	}
+	*dst = Array{chips: chips, geo: a.geo, blocksPerChip: a.blocksPerChip, totalBlocks: a.totalBlocks}
+	return dst
 }
 
 // Geometry returns the shared per-chip geometry.

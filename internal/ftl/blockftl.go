@@ -65,13 +65,16 @@ type BlockFTLState struct {
 	LastReadSlot int64
 }
 
-func (s *BlockFTLState) clone() BlockFTLState {
-	g := *s
-	g.Data = append([]int32(nil), s.Data...)
-	g.Logs = append([]LogBlock(nil), s.Logs...)
-	g.Free = append(minHeap[FreeBlock](nil), s.Free...)
-	g.Book = s.Book.clone()
-	return g
+// cloneInto overwrites dst with a deep copy of s, reusing dst's slices; a
+// zero dst allocates.
+func (s *BlockFTLState) cloneInto(dst *BlockFTLState) {
+	old := *dst
+	*dst = *s
+	dst.Data = append(old.Data[:0], s.Data...)
+	dst.Logs = append(old.Logs[:0], s.Logs...)
+	dst.Free = append(old.Free[:0], s.Free...)
+	dst.Book = old.Book
+	s.Book.cloneInto(&dst.Book)
 }
 
 // BlockFTL is a block-granularity mapped flash translation layer with a
@@ -141,16 +144,30 @@ func NewBlockFTL(arr *Array, cfg BlockConfig, model CostModel) (*BlockFTL, error
 func (f *BlockFTL) Capacity() int64 { return f.cfg.LogicalBytes }
 
 // Clone returns a deep copy of the FTL and the flash array underneath.
-func (f *BlockFTL) Clone() Translator {
-	g := *f
-	g.arr = f.arr.Clone()
-	g.st = f.st.clone()
-	g.book = f.book.clone()
-	if f.dataMode {
-		g.pageBuf = make([]byte, len(f.pageBuf))
+func (f *BlockFTL) Clone() Translator { return f.cloneInto(nil) }
+
+// cloneInto overwrites dst with a deep copy of f and the array underneath
+// and returns it, reusing dst's memory; a nil dst allocates a new FTL.
+func (f *BlockFTL) cloneInto(dst *BlockFTL) *BlockFTL {
+	if dst == nil {
+		dst = new(BlockFTL)
 	}
-	g.pending = nil
-	return &g
+	old := *dst
+	*dst = *f
+	dst.arr = f.arr.cloneInto(old.arr)
+	dst.st = old.st
+	f.st.cloneInto(&dst.st)
+	dst.book = old.book
+	f.book.cloneInto(&dst.book)
+	dst.pending = nil
+	dst.pageBuf = nil
+	if f.dataMode {
+		dst.pageBuf = old.pageBuf
+		if len(dst.pageBuf) != len(f.pageBuf) {
+			dst.pageBuf = make([]byte, len(f.pageBuf))
+		}
+	}
+	return dst
 }
 
 // Stats returns a snapshot of the FTL counters.

@@ -118,6 +118,16 @@ func (l *regionList) all() iter.Seq[CacheRegion] {
 	}
 }
 
+// chainOf links standalone copies of regions, in order, into a detached
+// chain (a decoded state's input to rebuild).
+func chainOf(regions []CacheRegion) *regionList {
+	l := new(regionList)
+	for _, st := range regions {
+		l.pushBack(&cacheRegion{st: st})
+	}
+	return l
+}
+
 func (l *regionList) pushFront(r *cacheRegion) {
 	r.prev, r.next = nil, l.front
 	if l.front != nil {
@@ -194,17 +204,28 @@ type CacheState struct {
 	LineData map[int64][]byte
 }
 
-func (s *CacheState) clone() CacheState {
-	g := *s
-	g.StreamLRU = copyRegions(slices.Values(s.StreamLRU))
-	g.ZoneLRU = copyRegions(slices.Values(s.ZoneLRU))
-	if s.LineData != nil {
-		g.LineData = make(map[int64][]byte, len(s.LineData))
-		for l, buf := range s.LineData {
-			g.LineData[l] = append([]byte(nil), buf...)
+// cloneInto overwrites dst with a deep copy of s, reusing dst's line-data
+// map and buffers; a zero dst allocates.
+func (s *CacheState) cloneInto(dst *CacheState) {
+	lineData := dst.LineData
+	*dst = *s
+	dst.StreamLRU = copyRegions(slices.Values(s.StreamLRU))
+	dst.ZoneLRU = copyRegions(slices.Values(s.ZoneLRU))
+	if s.LineData == nil {
+		return
+	}
+	if lineData == nil {
+		lineData = make(map[int64][]byte, len(s.LineData))
+	}
+	for l := range lineData {
+		if _, ok := s.LineData[l]; !ok {
+			delete(lineData, l)
 		}
 	}
-	return g
+	for l, buf := range s.LineData {
+		lineData[l] = append(lineData[l][:0], buf...)
+	}
+	dst.LineData = lineData
 }
 
 // copyRegions collects regions, each with its own copy of the bitset words.
@@ -240,6 +261,10 @@ type WriteCache struct {
 	// freeRegions recycles region structs (linked through next) so the
 	// steady state of flush-then-redirty does not allocate.
 	freeRegions *cacheRegion //uflint:scratch — allocation recycler, not state
+	// backing and words are the region structs and bitset words rebuild
+	// lays the resident set out in; a recycling clone reuses them.
+	backing []cacheRegion //uflint:scratch — storage only; the chains and index are the state
+	words   []uint64      //uflint:scratch — storage only; the chains and index are the state
 
 	// touched is a per-call scratch buffer reused across writes so the hot
 	// path does not allocate.
@@ -302,42 +327,67 @@ func (c *WriteCache) newRegion(rid int64) *cacheRegion {
 
 // Clone returns a deep copy of the cache — regions, dirty lines, both LRU
 // chains in order, stats — stacked over a clone of the inner layer.
-func (c *WriteCache) Clone() Translator {
-	g := *c
-	g.inner = c.inner.Clone()
-	g.st = c.st.clone()
-	g.regions = make([]*cacheRegion, len(c.regions))
-	g.streamLRU, g.zoneLRU = regionList{}, regionList{}
-	g.freeRegions = nil
-	if _, err := g.rebuild(c.streamLRU.all(), c.zoneLRU.all(), c.OpenRegions()); err != nil {
+func (c *WriteCache) Clone() Translator { return c.cloneInto(nil) }
+
+// cloneInto overwrites dst with a deep copy of c and the stack underneath
+// and returns it, reusing dst's memory — the dense index, the region
+// storage, the inner layers — where it fits; a nil dst allocates.
+func (c *WriteCache) cloneInto(dst *WriteCache) *WriteCache {
+	if dst == nil {
+		dst = new(WriteCache)
+	}
+	old := *dst
+	*dst = *c
+	dst.inner = CloneInto(c.inner, old.inner)
+	dst.st = old.st
+	c.st.cloneInto(&dst.st)
+	dst.regions = old.regions
+	if len(dst.regions) == len(c.regions) {
+		clear(dst.regions)
+	} else {
+		dst.regions = make([]*cacheRegion, len(c.regions))
+	}
+	dst.streamLRU, dst.zoneLRU = regionList{}, regionList{}
+	dst.freeRegions = nil
+	dst.backing, dst.words = old.backing, old.words
+	if _, err := dst.rebuild(&c.streamLRU, &c.zoneLRU); err != nil {
 		panic(fmt.Sprintf("ftl: cloning a write cache: %v", err))
 	}
-	g.touched = nil
+	dst.touched = old.touched[:0]
+	dst.innerData, dst.innerPeek, dst.runBuf = nil, nil, nil
 	if c.dataMode {
-		g.innerData = g.inner.(DataPlane)
-		g.innerPeek = g.inner.(peeker)
-		g.runBuf = nil
+		dst.innerData = dst.inner.(DataPlane)
+		dst.innerPeek = dst.inner.(peeker)
+		dst.runBuf = old.runBuf
 	}
-	return &g
+	return dst
 }
 
-// rebuild makes the given regions — the stream chain's and the zone
-// chain's, each front (MRU) first, n in total — the resident set of a cache
-// whose chains and dense index are empty, and returns the number of dirty
-// lines they hold. Every region lands in one backing array with one bitset
-// block, allocated up front, because cloning is the shard fan-out hot path;
-// Restore lays out a decoded state the same way. The checks only fail on a
-// state read from outside.
-func (c *WriteCache) rebuild(streams, zones iter.Seq[CacheRegion], n int) (int64, error) {
-	backing := make([]cacheRegion, n)
-	words := make([]uint64, n*c.lineWords)
+// rebuild makes copies of the regions on the given chains — the source
+// cache's stream and zone chains, or chains decoded from a state — the
+// resident set of a cache whose chains and dense index are empty, in the
+// same order, and returns the number of dirty lines they hold. Every region
+// lands in one backing array with one bitset block, reused from an earlier
+// rebuild when large enough and otherwise allocated up front, because
+// cloning is the shard fan-out hot path; Restore lays out a decoded state
+// the same way. The checks only fail on a state read from outside.
+func (c *WriteCache) rebuild(streams, zones *regionList) (int64, error) {
+	n := streams.n + zones.n
+	if cap(c.backing) < n {
+		c.backing = make([]cacheRegion, n)
+	}
+	if cap(c.words) < n*c.lineWords {
+		c.words = make([]uint64, n*c.lineWords)
+	}
+	backing, words := c.backing[:n], c.words[:n*c.lineWords]
 	var lines int64
 	i := 0
 	for _, chain := range [...]struct {
-		regions iter.Seq[CacheRegion]
+		regions *regionList
 		stream  bool
 	}{{streams, true}, {zones, false}} {
-		for src := range chain.regions {
+		for r := chain.regions.front; r != nil; r = r.next {
+			src := r.st
 			switch {
 			case src.Stream != chain.stream:
 				return 0, fmt.Errorf("ftl: region %d in the wrong LRU chain", src.ID)

@@ -185,6 +185,26 @@ type Translator interface {
 	Clone() Translator
 }
 
+// CloneInto returns a deep copy of src, recycling dst — a stack previously
+// cloned from a source of the same shape, which nothing else uses any more —
+// instead of allocating where the shapes allow. The result is
+// indistinguishable from src.Clone(). Layers of another implementation, and
+// a dst of a different type than src, fall back to src.Clone().
+func CloneInto(src, dst Translator) Translator {
+	switch s := src.(type) {
+	case *PageFTL:
+		d, _ := dst.(*PageFTL)
+		return s.cloneInto(d)
+	case *BlockFTL:
+		d, _ := dst.(*BlockFTL)
+		return s.cloneInto(d)
+	case *WriteCache:
+		d, _ := dst.(*WriteCache)
+		return s.cloneInto(d)
+	}
+	return src.Clone()
+}
+
 // Errors returned by the translation layers.
 var (
 	ErrOutOfRange = errors.New("ftl: IO beyond logical capacity")

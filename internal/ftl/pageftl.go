@@ -114,18 +114,21 @@ type PageFTLState struct {
 	LastReadSlot int64 // physical slot of previous page read, for pipelining
 }
 
-func (s *PageFTLState) clone() PageFTLState {
-	g := *s
-	g.FMap = append([]int64(nil), s.FMap...)
-	g.RMap = append([]int64(nil), s.RMap...)
-	g.Live = append([]int32(nil), s.Live...)
-	g.Free = append(minHeap[FreeBlock](nil), s.Free...)
-	g.Victims = append(minHeap[VictimBlock](nil), s.Victims...)
-	g.VGen = append([]int32(nil), s.VGen...)
-	g.IsOpen = append([]bool(nil), s.IsOpen...)
-	g.WPs = append([]WritePoint(nil), s.WPs...)
-	g.Book = s.Book.clone()
-	return g
+// cloneInto overwrites dst with a deep copy of s, reusing dst's slices; a
+// zero dst allocates.
+func (s *PageFTLState) cloneInto(dst *PageFTLState) {
+	old := *dst
+	*dst = *s
+	dst.FMap = append(old.FMap[:0], s.FMap...)
+	dst.RMap = append(old.RMap[:0], s.RMap...)
+	dst.Live = append(old.Live[:0], s.Live...)
+	dst.Free = append(old.Free[:0], s.Free...)
+	dst.Victims = append(old.Victims[:0], s.Victims...)
+	dst.VGen = append(old.VGen[:0], s.VGen...)
+	dst.IsOpen = append(old.IsOpen[:0], s.IsOpen...)
+	dst.WPs = append(old.WPs[:0], s.WPs...)
+	dst.Book = old.Book
+	s.Book.cloneInto(&dst.Book)
 }
 
 // PageFTL is a page-granularity (unit-granularity) mapped flash translation
@@ -208,16 +211,30 @@ func NewPageFTL(arr *Array, cfg PageConfig, model CostModel) (*PageFTL, error) {
 func (f *PageFTL) Capacity() int64 { return f.cfg.LogicalBytes }
 
 // Clone returns a deep copy of the FTL and the flash array underneath.
-func (f *PageFTL) Clone() Translator {
-	g := *f
-	g.arr = f.arr.Clone()
-	g.st = f.st.clone()
-	g.book = f.book.clone()
-	if f.dataMode {
-		g.unitData = make([]byte, len(f.unitData))
+func (f *PageFTL) Clone() Translator { return f.cloneInto(nil) }
+
+// cloneInto overwrites dst with a deep copy of f and the array underneath
+// and returns it, reusing dst's memory; a nil dst allocates a new FTL.
+func (f *PageFTL) cloneInto(dst *PageFTL) *PageFTL {
+	if dst == nil {
+		dst = new(PageFTL)
 	}
-	g.pending = nil
-	return &g
+	old := *dst
+	*dst = *f
+	dst.arr = f.arr.cloneInto(old.arr)
+	dst.st = old.st
+	f.st.cloneInto(&dst.st)
+	dst.book = old.book
+	f.book.cloneInto(&dst.book)
+	dst.pending = nil
+	dst.unitData = nil
+	if f.dataMode {
+		dst.unitData = old.unitData
+		if len(dst.unitData) != len(f.unitData) {
+			dst.unitData = make([]byte, len(f.unitData))
+		}
+	}
+	return dst
 }
 
 // Stats returns a snapshot of the FTL counters.

@@ -2,7 +2,6 @@ package ftl
 
 import (
 	"fmt"
-	"slices"
 
 	"uflip/internal/flash"
 )
@@ -26,17 +25,20 @@ type TranslatorState struct {
 func SnapshotTranslator(t Translator) (*TranslatorState, error) {
 	switch f := t.(type) {
 	case *PageFTL:
-		s := f.st.clone()
+		var s PageFTLState
+		f.st.cloneInto(&s)
 		return &TranslatorState{Page: &s, Chips: f.arr.state()}, nil
 	case *BlockFTL:
-		s := f.st.clone()
+		var s BlockFTLState
+		f.st.cloneInto(&s)
 		return &TranslatorState{Block: &s, Chips: f.arr.state()}, nil
 	case *WriteCache:
 		inner, err := SnapshotTranslator(f.inner)
 		if err != nil {
 			return nil, err
 		}
-		s := f.st.clone()
+		var s CacheState
+		f.st.cloneInto(&s)
 		s.StreamLRU = copyRegions(f.streamLRU.all())
 		s.ZoneLRU = copyRegions(f.zoneLRU.all())
 		return &TranslatorState{Cache: &s, Inner: inner}, nil
@@ -148,7 +150,7 @@ func (c *WriteCache) restore(t *TranslatorState) error {
 	clear(c.regions)
 	c.streamLRU, c.zoneLRU = regionList{}, regionList{}
 	c.freeRegions = nil
-	lines, err := c.rebuild(slices.Values(s.StreamLRU), slices.Values(s.ZoneLRU), len(s.StreamLRU)+len(s.ZoneLRU))
+	lines, err := c.rebuild(chainOf(s.StreamLRU), chainOf(s.ZoneLRU))
 	if err != nil {
 		return err
 	}

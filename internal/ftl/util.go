@@ -119,10 +119,11 @@ type MapBookState struct {
 	LastFlushed  int64
 }
 
-func (s *MapBookState) clone() MapBookState {
-	g := *s
-	g.Order = append([]int64(nil), s.Order...)
-	return g
+// cloneInto overwrites dst with a deep copy of s, reusing dst's ring.
+func (s *MapBookState) cloneInto(dst *MapBookState) {
+	order := dst.Order
+	*dst = *s
+	dst.Order = append(order[:0], s.Order...)
 }
 
 // mapBook is the configuration and derived index of a MapBookState: the set
@@ -180,14 +181,19 @@ func (b *mapBook) touch(s *MapBookState, unit int64, ops *Ops) {
 // dirtyCount reports the number of buffered dirty map pages (for tests).
 func (b *mapBook) dirtyCount() int { return len(b.dirty) }
 
-// clone returns an independent copy of the book.
-func (b *mapBook) clone() mapBook {
-	g := *b
-	g.dirty = make(map[int64]struct{}, len(b.dirty)+1)
-	for k := range b.dirty {
-		g.dirty[k] = struct{}{}
+// cloneInto overwrites dst with an independent copy of b, reusing dst's
+// dirty set.
+func (b *mapBook) cloneInto(dst *mapBook) {
+	dirty := dst.dirty
+	*dst = *b
+	if dirty == nil {
+		dirty = make(map[int64]struct{}, b.limit+1)
 	}
-	return g
+	clear(dirty)
+	for k := range b.dirty {
+		dirty[k] = struct{}{}
+	}
+	dst.dirty = dirty
 }
 
 // restore validates a ring read from outside against the book's limit and

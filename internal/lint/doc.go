@@ -7,10 +7,11 @@
 //   - detwall: simulation packages must not read the wall clock, draw from
 //     the global math/rand source, or iterate maps with order-dependent
 //     effects — the compile-time face of "byte-identical at any -parallel".
-//   - cloneguard: every field of a struct with a Clone/Snapshot/Restore
-//     method must be referenced in that method or annotated
+//   - cloneguard: every field of a struct with a Clone/Snapshot/Restore/
+//     cloneInto method must be referenced in that method or annotated
 //     //uflint:shared or //uflint:scratch; a whole-struct copy covers only
-//     the fields of value type.
+//     the fields of value type, and a cloneInto must read each field from
+//     its receiver, not only through the recycled destination.
 //   - batchcontract: SubmitBatch/SubmitBatchRetry errors must be handled,
 //     and *device.BatchError extracted with errors.As, never a type
 //     assertion.

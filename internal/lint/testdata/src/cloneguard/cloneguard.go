@@ -1,7 +1,8 @@
 // Package cloneguard is the golden fixture of the cloneguard analyzer:
 // the added-but-not-cloned field class it exists to catch, the two
 // annotation escape hatches, the whole-struct-copy exemption for value
-// fields, and the reference fields that exemption does not cover.
+// fields, the reference fields that exemption does not cover, and a
+// recycling cloneInto that leaves a destination field stale.
 package cloneguard
 
 // tracker has a Clone that forgets a field: the exact bug class the
@@ -73,4 +74,28 @@ func (l *ledger) Clone() *ledger {
 		g.entries[k] = v
 	}
 	return &g
+}
+
+// recycler clones into a destination that may be a recycled copy. Its
+// cloneInto reuses dst's buffer for stale but never reads r.stale, so a
+// recycled destination would keep the previous state's value: the leak
+// the receiver-read rule for cloneInto exists to catch.
+type recycler struct {
+	ops   int64
+	hist  []int
+	stale []int // want `field stale is not read from the receiver in \(\*recycler\)\.cloneInto`
+}
+
+// Clone delegates, so it is checked through cloneInto, not field by field.
+func (r *recycler) Clone() *recycler { return r.cloneInto(nil) }
+
+// cloneInto copies ops and hist but only truncates dst's stale.
+func (r *recycler) cloneInto(dst *recycler) *recycler {
+	if dst == nil {
+		dst = new(recycler)
+	}
+	dst.ops = r.ops
+	dst.hist = append(dst.hist[:0], r.hist...)
+	dst.stale = dst.stale[:0]
+	return dst
 }

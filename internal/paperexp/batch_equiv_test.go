@@ -91,7 +91,8 @@ func planCSV(t *testing.T, key string, cfg Config, plan methodology.Plan, factor
 
 // TestBatchSubmitDifferentialPlan pins the batch pipeline over the full
 // nine-micro-benchmark plan: the per-IO reference factory must produce
-// byte-identical CSV at 1 and 4 workers, as must the batch path itself.
+// byte-identical CSV at 1 and 4 workers, as must the batch path itself and
+// the master factory, which recycles each worker's previous shard device.
 func TestBatchSubmitDifferentialPlan(t *testing.T) {
 	const key = "memoright"
 	cfg := cacheTestConfig(t, false)
@@ -107,6 +108,8 @@ func TestBatchSubmitDifferentialPlan(t *testing.T) {
 		{"per-IO sequential", perIOFactory(key, cfg), 1},
 		{"per-IO parallel", perIOFactory(key, cfg), 4},
 		{"batch parallel", RebuildShardFactory(key, cfg), 4},
+		{"recycled sequential", ShardFactory(key, cfg), 1},
+		{"recycled parallel", ShardFactory(key, cfg), 4},
 	} {
 		if got := planCSV(t, key, cfg, plan, tc.factory, tc.workers); !bytes.Equal(got, want) {
 			t.Errorf("%s: CSV diverges from the batch sequential run", tc.name)
@@ -115,8 +118,9 @@ func TestBatchSubmitDifferentialPlan(t *testing.T) {
 }
 
 // TestBatchSubmitDifferentialArrays extends the plan oracle to composite
-// devices: on stripe, mirror and concat arrays the batch path at 4 workers
-// must match the per-IO reference run byte for byte.
+// devices: on stripe, mirror and concat arrays the batch path at 4 workers,
+// rebuilt per shard or recycled from one master, must match the per-IO
+// reference run byte for byte.
 func TestBatchSubmitDifferentialArrays(t *testing.T) {
 	for _, spec := range []string{
 		"stripe(2,memoright,memoright)",
@@ -137,13 +141,21 @@ func TestBatchSubmitDifferentialArrays(t *testing.T) {
 			if got := planCSV(t, spec, cfg, plan, RebuildShardFactory(spec, cfg), 4); !bytes.Equal(got, want) {
 				t.Error("batch parallel run diverges from the per-IO sequential run")
 			}
+			for _, workers := range []int{1, 4} {
+				if got := planCSV(t, spec, cfg, plan, ShardFactory(spec, cfg), workers); !bytes.Equal(got, want) {
+					t.Errorf("recycled run at %d workers diverges from the per-IO sequential run", workers)
+				}
+			}
 		})
 	}
 }
 
 // TestBatchSubmitDifferentialWorkloads pins the batch pipeline under every
 // workload generator and under trace replay: open-loop batch submission must
-// reproduce the per-IO reference exactly, enforcement included.
+// reproduce the per-IO reference exactly, enforcement included. Replayed in
+// segments through the engine, the master factory, recycling each worker's
+// previous segment device, must match a device rebuilt per segment at any
+// worker count.
 func TestBatchSubmitDifferentialWorkloads(t *testing.T) {
 	const key = "memoright"
 	const capacity = 16 << 20
@@ -202,10 +214,32 @@ func TestBatchSubmitDifferentialWorkloads(t *testing.T) {
 		}
 		return blob
 	}
+	cfg := DefaultConfig()
+	cfg.Capacity, cfg.Seed = capacity, seed
+	segmented := func(gen workload.Generator, factory engine.DeviceFactory, workers int) []byte {
+		t.Helper()
+		res, err := workload.Generate(context.Background(), gen, factory, workload.Options{
+			SegmentOps: 128, Workers: workers, Seed: seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
 	for _, gen := range gens {
 		want := replay(gen, true)
 		if got := replay(gen, false); !bytes.Equal(got, want) {
 			t.Errorf("%s: batch replay diverges from the per-IO replay", gen.Name())
+		}
+		rebuilt := segmented(gen, RebuildShardFactory(key, cfg), 1)
+		for _, workers := range []int{1, 4} {
+			if got := segmented(gen, ShardFactory(key, cfg), workers); !bytes.Equal(got, rebuilt) {
+				t.Errorf("%s: recycled segmented replay at %d workers diverges from the rebuilt one", gen.Name(), workers)
+			}
 		}
 	}
 }

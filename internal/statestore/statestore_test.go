@@ -2,6 +2,7 @@ package statestore_test
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -13,6 +14,8 @@ import (
 	"uflip/internal/methodology"
 	"uflip/internal/profile"
 	"uflip/internal/statestore"
+	"uflip/internal/trace"
+	"uflip/internal/workload"
 )
 
 const testCapacity = 8 << 20
@@ -392,6 +395,64 @@ func TestVersion1FileReenforced(t *testing.T) {
 	}
 	requireSameState(t, "reloaded", reloaded, cold)
 	driveBoth(t, cold, reloaded, 17)
+}
+
+// TestVersion2StoredPagesFileLoads pins the state-file compatibility of
+// derived page state: testdata/v2-stored-pages-memoright.state was written
+// by the release whose chip state still stored every page's state. gob
+// skips the dropped field, so the file must load as a clean hit — no
+// quarantine — equal to live enforcement, and a replay on it must produce a
+// response-time CSV byte-identical to one on the live-enforced device.
+func TestVersion2StoredPagesFileLoads(t *testing.T) {
+	const spec = "memoright"
+	store, err := statestore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := key(spec)
+	old, err := os.ReadFile(filepath.Join("testdata", "v2-stored-pages-memoright.state"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(store.Path(k), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := profile.BuildDevice(spec, testCapacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadedAt, hit, err := store.Load(k, loaded)
+	if err != nil || !hit {
+		t.Fatalf("stored-pages load: hit=%v err=%v, want clean hit", hit, err)
+	}
+	if _, err := os.Stat(store.Path(k) + ".corrupt"); !os.IsNotExist(err) {
+		t.Fatal("stored-pages file was quarantined")
+	}
+	live, liveAt := enforcedDevice(t, spec)
+	if loadedAt != liveAt {
+		t.Fatalf("loaded state finished at %v, live enforcement at %v", loadedAt, liveAt)
+	}
+	requireSameState(t, "stored-pages load", loaded, live)
+	gen := workload.OLTP{PageSize: 8192, TargetSize: testCapacity, ReadFraction: 0.7, Count: 2000, Seed: 5}
+	ops, err := gen.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayCSV := func(dev device.Device, at time.Duration) []byte {
+		t.Helper()
+		run, err := workload.Replay(context.Background(), dev, ops, at+time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := trace.WriteRTSeriesCSV(&buf, run.RTs); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if !bytes.Equal(replayCSV(loaded, loadedAt), replayCSV(live, liveAt)) {
+		t.Fatal("replay on the stored-pages state diverges from live enforcement")
+	}
 }
 
 // TestRestoreIntoWrongDeviceFails: a valid file must refuse to restore into

@@ -14,9 +14,9 @@
 //
 // Long replays route through internal/engine: the stream is split into
 // contiguous segments at fixed op boundaries, every segment replays on its
-// own freshly built device (private FTL state, per-segment derived seed),
-// and the per-segment runs merge in stream order — so the merged result is
-// byte-identical for any worker count.
+// own private device from the engine's factory (private FTL state,
+// per-segment derived seed), and the per-segment runs merge in stream order
+// — so the merged result is byte-identical for any worker count.
 package workload
 
 import (
